@@ -20,20 +20,6 @@ from .conv_module import ConvModuleParams, DenseParams, init_conv_module, \
     init_dense, project
 from .errors import ConfigError
 
-# count of chunk score matrices computed, for tests asserting the scores are
-# built once per chunk and shared by the value and gate paths
-_chunk_score_count = 0
-
-
-def reset_chunk_score_count() -> None:
-    global _chunk_score_count
-    _chunk_score_count = 0
-
-
-def chunk_score_count() -> int:
-    return _chunk_score_count
-
-
 _rope_cache: dict = {}
 
 
@@ -103,10 +89,6 @@ class AttentionParams:
     global_k_scale: ad.Tensor
     global_k_offset: ad.Tensor
     chunk_size: int
-    rope_base: float = 10000.0
-    # optional activation applied to the global branch inputs; the plain
-    # bilinear product needs none, so default off
-    global_feature_map: str | None = None
 
 
 _MODES = ("joint", "local_only", "global_only")
@@ -144,30 +126,27 @@ def init_attention(
     )
 
 
-def _derive(shared, scale, offset, base):
-    return rope(ad.add(ad.mul(shared, scale), offset), base)
+def _derive(shared, scale, offset):
+    return rope(ad.add(ad.mul(shared, scale), offset))
 
 
 def derive_qk(shared, p: AttentionParams):
     """Shared (S, D) -> (local q, local k, global q, global k), RoPE applied."""
     return (
-        _derive(shared, p.local_q_scale, p.local_q_offset, p.rope_base),
-        _derive(shared, p.local_k_scale, p.local_k_offset, p.rope_base),
-        _derive(shared, p.global_q_scale, p.global_q_offset, p.rope_base),
-        _derive(shared, p.global_k_scale, p.global_k_offset, p.rope_base),
+        _derive(shared, p.local_q_scale, p.local_q_offset),
+        _derive(shared, p.local_k_scale, p.local_k_offset),
+        _derive(shared, p.global_q_scale, p.global_q_offset),
+        _derive(shared, p.global_k_scale, p.global_k_offset),
     )
 
 
-def global_attention(q, k, values, gates, feature_map: str | None = None):
+def global_attention(q, k, values, gates):
     """Linearized branch: out = q @ ((1/S) k^T x), key side contracted first.
 
     Cost O(S * D * G) and intermediates of size D x G; the frames-by-frames
     score matrix is never materialized.
     """
     q, k = ad.as_tensor(q), ad.as_tensor(k)
-    if feature_map is not None:
-        q = ad.activation(feature_map, q)
-        k = ad.activation(feature_map, k)
     beta = 1.0 / q.shape[0]
     k_t = ad.transpose(k)
 
@@ -180,7 +159,6 @@ def global_attention(q, k, values, gates, feature_map: str | None = None):
 def local_attention(q, k, values, gates, chunk_size: int):
     """Chunked quadratic branch with squared-ReLU scores, built once per
     chunk and shared by the value and gate paths."""
-    global _chunk_score_count
     q, k = ad.as_tensor(q), ad.as_tensor(k)
     frames, dim = q.shape
     plan = plan_chunks(frames, chunk_size)
@@ -195,7 +173,6 @@ def local_attention(q, k, values, gates, chunk_size: int):
     scores = ad.relu_squared(
         ad.mul(ad.matmul(q3, ad.permute(k3, (0, 2, 1))), gamma)
     )
-    _chunk_score_count += plan.count
 
     def branch(x):
         width = x.shape[1]
@@ -223,9 +200,7 @@ def joint_attention(
     if mode == "local_only":
         return local_attention(q_loc, k_loc, values, gates, p.chunk_size)
     if mode == "global_only":
-        return global_attention(q_glob, k_glob, values, gates,
-                                p.global_feature_map)
+        return global_attention(q_glob, k_glob, values, gates)
     lv, lg = local_attention(q_loc, k_loc, values, gates, p.chunk_size)
-    gv, gg = global_attention(q_glob, k_glob, values, gates,
-                              p.global_feature_map)
+    gv, gg = global_attention(q_glob, k_glob, values, gates)
     return ad.add(lv, gv), ad.add(lg, gg)

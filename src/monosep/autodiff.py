@@ -7,6 +7,13 @@ path to the loss. Without an active tape the same primitives run as plain
 numpy forward code, so one implementation serves training, evaluation and
 the finite-difference oracle.
 
+Every primitive has the same shape: it computes its forward array, defines
+a ``backward(g)`` closure that pushes gradients into its inputs with
+``_accum``, and returns ``_op(data, inputs, backward)``. ``_op`` is the one
+registration point: it wraps the array and, only when a tape is active and
+some input requires grad, marks the output and appends it to the tape.
+Code outside this module registers fused primitives through ``make_op``.
+
 Shape conventions follow the rest of the package: sequences are (frames,
 features), 1-D convolutions are (channels, length). Element precision is
 whatever dtype the arrays carry; tests use float64, training may use
@@ -150,14 +157,15 @@ def constant(x, dtype=None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _recording(*tensors: Tensor) -> bool:
-    return _active_tape is not None and any(t.requires_grad for t in tensors)
-
-
-def _attach(out: Tensor, backward: Callable[[np.ndarray], None]) -> Tensor:
-    out.requires_grad = True
-    out._backward = backward
-    _active_tape._nodes.append(out)
+def _op(data, inputs: Iterable[Tensor],
+        backward: Callable[[np.ndarray], None]) -> Tensor:
+    """Wrap a primitive's forward array; record it on the active tape when
+    any input requires grad. The only code that appends tape nodes."""
+    out = Tensor(data)
+    if _active_tape is not None and any(t.requires_grad for t in inputs):
+        out.requires_grad = True
+        out._backward = backward
+        _active_tape._nodes.append(out)
     return out
 
 
@@ -184,9 +192,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _pair(a, b)
-    out = Tensor(a.data + b.data)
-    if not _recording(a, b):
-        return out
 
     def backward(g):
         if a.requires_grad:
@@ -194,14 +199,11 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             _accum(b, _unbroadcast(g, b.data.shape))
 
-    return _attach(out, backward)
+    return _op(a.data + b.data, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
     a, b = _pair(a, b)
-    out = Tensor(a.data - b.data)
-    if not _recording(a, b):
-        return out
 
     def backward(g):
         if a.requires_grad:
@@ -209,14 +211,11 @@ def sub(a, b) -> Tensor:
         if b.requires_grad:
             _accum(b, _unbroadcast(-g, b.data.shape))
 
-    return _attach(out, backward)
+    return _op(a.data - b.data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = _pair(a, b)
-    out = Tensor(a.data * b.data)
-    if not _recording(a, b):
-        return out
 
     def backward(g):
         if a.requires_grad:
@@ -224,14 +223,11 @@ def mul(a, b) -> Tensor:
         if b.requires_grad:
             _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
-    return _attach(out, backward)
+    return _op(a.data * b.data, (a, b), backward)
 
 
 def div(a, b) -> Tensor:
     a, b = _pair(a, b)
-    out = Tensor(a.data / b.data)
-    if not _recording(a, b):
-        return out
 
     def backward(g):
         if a.requires_grad:
@@ -239,19 +235,16 @@ def div(a, b) -> Tensor:
         if b.requires_grad:
             _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
-    return _attach(out, backward)
+    return _op(a.data / b.data, (a, b), backward)
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(-a.data)
-    if not _recording(a):
-        return out
 
     def backward(g):
         _accum(a, -g)
 
-    return _attach(out, backward)
+    return _op(-a.data, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +262,6 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(
             f"matmul batch axes disagree: {a.data.shape[0]} vs {b.data.shape[0]}"
         )
-    out = Tensor(a.data @ b.data)
-    if not _recording(a, b):
-        return out
 
     def backward(g):
         if a.requires_grad:
@@ -279,50 +269,37 @@ def matmul(a, b) -> Tensor:
         if b.requires_grad:
             _accum(b, np.swapaxes(a.data, -1, -2) @ g)
 
-    return _attach(out, backward)
+    return _op(a.data @ b.data, (a, b), backward)
 
 
 def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.data.ndim != 2:
         raise DimensionError(f"transpose expects a 2-D tensor, got {a.data.shape}")
-    out = Tensor(a.data.T)
-    if not _recording(a):
-        return out
 
     def backward(g):
         _accum(a, g.T)
 
-    return _attach(out, backward)
+    return _op(a.data.T, (a,), backward)
 
 
 def permute(a, axes: Sequence[int]) -> Tensor:
     a = as_tensor(a)
     axes = tuple(axes)
-    out = Tensor(np.transpose(a.data, axes))
-    if not _recording(a):
-        return out
-
-    inverse = tuple(np.argsort(axes))
 
     def backward(g):
-        _accum(a, np.transpose(g, inverse))
+        _accum(a, np.transpose(g, np.argsort(axes)))
 
-    return _attach(out, backward)
+    return _op(np.transpose(a.data, axes), (a,), backward)
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape))
-    if not _recording(a):
-        return out
-
-    orig = a.data.shape
 
     def backward(g):
-        _accum(a, g.reshape(orig))
+        _accum(a, g.reshape(a.data.shape))
 
-    return _attach(out, backward)
+    return _op(a.data.reshape(shape), (a,), backward)
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
@@ -331,16 +308,13 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     idx = [slice(None)] * a.data.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
-    out = Tensor(a.data[idx])
-    if not _recording(a):
-        return out
 
     def backward(g):
         full = np.zeros_like(a.data)
         full[idx] = g
         _accum(a, full)
 
-    return _attach(out, backward)
+    return _op(a.data[idx], (a,), backward)
 
 
 def pad_axis_end(a, axis: int, extra: int) -> Tensor:
@@ -350,56 +324,40 @@ def pad_axis_end(a, axis: int, extra: int) -> Tensor:
         return a
     widths = [(0, 0)] * a.data.ndim
     widths[axis] = (0, extra)
-    out = Tensor(np.pad(a.data, widths))
-    if not _recording(a):
-        return out
-
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(0, a.data.shape[axis])
-    idx = tuple(idx)
 
     def backward(g):
-        _accum(a, g[idx])
+        idx = [slice(None)] * a.data.ndim
+        idx[axis] = slice(0, a.data.shape[axis])
+        _accum(a, g[tuple(idx)])
 
-    return _attach(out, backward)
+    return _op(np.pad(a.data, widths), (a,), backward)
 
 
 def sum_all(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.sum())
-    if not _recording(a):
-        return out
 
     def backward(g):
         _accum(a, np.broadcast_to(g, a.data.shape))
 
-    return _attach(out, backward)
+    return _op(a.data.sum(), (a,), backward)
 
 
 def mean_all(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.mean())
-    if not _recording(a):
-        return out
-
-    n = a.data.size
 
     def backward(g):
-        _accum(a, np.broadcast_to(g / n, a.data.shape))
+        _accum(a, np.broadcast_to(g / a.data.size, a.data.shape))
 
-    return _attach(out, backward)
+    return _op(a.data.mean(), (a,), backward)
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.log(a.data))
-    if not _recording(a):
-        return out
 
     def backward(g):
         _accum(a, g / a.data)
 
-    return _attach(out, backward)
+    return _op(np.log(a.data), (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -409,53 +367,41 @@ def log(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0))
-    if not _recording(a):
-        return out
 
     def backward(g):
         _accum(a, g * (a.data > 0))
 
-    return _attach(out, backward)
+    return _op(np.maximum(a.data, 0), (a,), backward)
 
 
 def relu_squared(a) -> Tensor:
     a = as_tensor(a)
     pos = np.maximum(a.data, 0)
-    out = Tensor(pos * pos)
-    if not _recording(a):
-        return out
 
     def backward(g):
         _accum(a, g * (2.0 * pos))
 
-    return _attach(out, backward)
+    return _op(pos * pos, (a,), backward)
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     s = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(s)
-    if not _recording(a):
-        return out
 
     def backward(g):
         _accum(a, g * (s * (1.0 - s)))
 
-    return _attach(out, backward)
+    return _op(s, (a,), backward)
 
 
 def silu(a) -> Tensor:
     a = as_tensor(a)
     s = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(a.data * s)
-    if not _recording(a):
-        return out
 
     def backward(g):
         _accum(a, g * (s * (1.0 + a.data * (1.0 - s))))
 
-    return _attach(out, backward)
+    return _op(a.data * s, (a,), backward)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -468,15 +414,12 @@ def gelu(a) -> Tensor:
     x = a.data
     inner = _GELU_C * (x + _GELU_A * x * x * x)
     t = np.tanh(inner)
-    out = Tensor(0.5 * x * (1.0 + t))
-    if not _recording(a):
-        return out
 
     def backward(g):
         d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
         _accum(a, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner))
 
-    return _attach(out, backward)
+    return _op(0.5 * x * (1.0 + t), (a,), backward)
 
 
 _ACTIVATIONS = {
@@ -500,10 +443,6 @@ def activation(kind: str, a) -> Tensor:
     return fn(a)
 
 
-def activation_kinds() -> list[str]:
-    return sorted(_ACTIVATIONS)
-
-
 # ---------------------------------------------------------------------------
 # dropout
 # ---------------------------------------------------------------------------
@@ -520,14 +459,11 @@ def dropout(a, p: float, rng: np.random.Generator | None, train: bool) -> Tensor
         raise ConfigError("training-mode dropout needs an explicit RNG")
     keep = (rng.random(a.data.shape) >= p).astype(a.data.dtype)
     keep /= 1.0 - p
-    out = Tensor(a.data * keep)
-    if not _recording(a):
-        return out
 
     def backward(g):
         _accum(a, g * keep)
 
-    return _attach(out, backward)
+    return _op(a.data * keep, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +503,6 @@ def conv1d(x, weight, bias, stride: int) -> Tensor:
     win = win[:, :lout]  # (Cin, Lout, K)
     out_data = np.einsum("oik,ilk->ol", weight.data, win, optimize=True)
     out_data += bias.data[:, None]
-    out = Tensor(out_data)
-    if not _recording(x, weight, bias):
-        return out
 
     def backward(g):
         if bias.requires_grad:
@@ -584,7 +517,7 @@ def conv1d(x, weight, bias, stride: int) -> Tensor:
                 gx[:, k : k + span : stride] += spread[:, :, k]
             _accum(x, gx)
 
-    return _attach(out, backward)
+    return _op(out_data, (x, weight, bias), backward)
 
 
 def transposed_conv1d(x, weight, stride: int) -> Tensor:
@@ -614,9 +547,6 @@ def transposed_conv1d(x, weight, stride: int) -> Tensor:
     span = stride * (L - 1) + 1
     for k in range(K):
         out_data[:, k : k + span : stride] += spread[:, :, k]
-    out = Tensor(out_data)
-    if not _recording(x, weight):
-        return out
 
     def backward(g):
         win = np.lib.stride_tricks.sliding_window_view(g, K, axis=1)[:, ::stride]
@@ -626,7 +556,7 @@ def transposed_conv1d(x, weight, stride: int) -> Tensor:
         if weight.requires_grad:
             _accum(weight, np.einsum("il,olk->iok", x.data, win, optimize=True))
 
-    return _attach(out, backward)
+    return _op(out_data, (x, weight), backward)
 
 
 def depthwise_conv1d(x, weight) -> Tensor:
@@ -655,9 +585,6 @@ def depthwise_conv1d(x, weight) -> Tensor:
     out_data = weight.data[:, 0:1] * xp[:, 0:L]
     for k in range(1, K):
         out_data += weight.data[:, k : k + 1] * xp[:, k : k + L]
-    out = Tensor(out_data)
-    if not _recording(x, weight):
-        return out
 
     def backward(g):
         if weight.requires_grad:
@@ -671,7 +598,7 @@ def depthwise_conv1d(x, weight) -> Tensor:
                 gxp[:, k : k + L] += weight.data[:, k : k + 1] * g
             _accum(x, gxp[:, pad : pad + L])
 
-    return _attach(out, backward)
+    return _op(out_data, (x, weight), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -699,9 +626,6 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     var = (centered * centered).mean(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
-    out = Tensor(xhat * gain.data + bias.data)
-    if not _recording(x, gain, bias):
-        return out
 
     def backward(g):
         if bias.requires_grad:
@@ -718,7 +642,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             )
             _accum(x, gx)
 
-    return _attach(out, backward)
+    return _op(xhat * gain.data + bias.data, (x, gain, bias), backward)
 
 
 def linear(x, weight, bias) -> Tensor:
@@ -739,10 +663,7 @@ def make_op(data: np.ndarray, inputs: Iterable[Tensor],
     The closure receives the output gradient and must push gradients into
     its inputs via ``accumulate_grad``.
     """
-    out = Tensor(data)
-    if not _recording(*inputs):
-        return out
-    return _attach(out, backward)
+    return _op(data, inputs, backward)
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray) -> None:

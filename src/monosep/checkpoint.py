@@ -12,7 +12,8 @@ Layout (all integers little-endian):
                  second Adam moments in the same order when present
 
 Saving is atomic (write to a temp file, then rename). Loading verifies the
-magic, version, and payload length and reproduces arrays bit-exactly.
+magic, version, and payload length, raises CheckpointError for any malformed
+file, and reproduces arrays bit-exactly.
 """
 
 from __future__ import annotations
@@ -105,10 +106,24 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint file; any malformed content raises CheckpointError."""
     with open(str(path), "rb") as f:
         raw = f.read()
+    try:
+        return _decode(raw, path)
+    except CheckpointError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError,
+            OverflowError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
+
+
+def _decode(raw: bytes, path) -> Checkpoint:
     if raw[:4] != _MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
+    if len(raw) < 16:
+        raise CheckpointError(f"{path}: truncated checkpoint preamble")
     version, header_len = struct.unpack("<IQ", raw[4:16])
     if version != _VERSION:
         raise CheckpointError(

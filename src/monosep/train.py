@@ -46,8 +46,15 @@ class Adam:
 
 def clip_gradient_norm(store: ad.ParamStore, max_norm: float) -> float:
     """Scale all trainable gradients so their global norm is at most
-    ``max_norm``; returns the pre-clip norm."""
+    ``max_norm``; returns the pre-clip norm. A non-finite norm raises
+    ``NumericalError`` before any gradient is touched."""
     norm = store.grad_norm()
+    if not math.isfinite(norm):
+        bad = next((n for n, t in store.trainable()
+                    if t.grad is not None and not np.isfinite(t.grad).all()),
+                   None)
+        where = f"parameter {bad!r}" if bad else "the global norm (overflow)"
+        raise NumericalError(f"non-finite gradient in {where}: norm={norm}")
     if norm > max_norm:
         scale = max_norm / norm
         for _, t in store.trainable():

@@ -73,12 +73,12 @@ class TestLocalAttention:
         assert np.abs(got_v.data - dense_local_oracle(q, k, v, 8)).max() < 1e-10
         assert np.abs(got_u.data - dense_local_oracle(q, k, u, 8)).max() < 1e-10
 
-    def test_score_matrices_counted_once_per_chunk(self):
+    def test_score_matrices_counted_once_per_chunk(self, score_builds):
         q, k = rand((20, 4), 17), rand((20, 4), 18)
         v = rand((20, 6), 19)
-        attn.reset_chunk_score_count()
         attn.local_attention(q, k, v, v, chunk_size=8)
-        assert attn.chunk_score_count() == 3  # ceil(20 / 8)
+        # one (chunks, P, P) score build, ceil(20 / 8) = 3 chunks
+        assert score_builds == [(3, 8, 8)]
 
 
 class TestGlobalAttention:
@@ -101,13 +101,6 @@ class TestGlobalAttention:
         q, k = rand((8, 4), 27), rand((8, 4), 28)
         got_v, _ = attn.global_attention(q, k, np.zeros((8, 6)), np.zeros((8, 6)))
         np.testing.assert_array_equal(got_v.data, np.zeros((8, 6)))
-
-    def test_feature_map_hook(self):
-        q, k = rand((8, 4), 29), rand((8, 4), 30)
-        v = rand((8, 6), 31)
-        got_v, _ = attn.global_attention(q, k, v, v, feature_map="relu")
-        want = dense_global_oracle(np.maximum(q, 0), np.maximum(k, 0), v)
-        np.testing.assert_allclose(got_v.data, want, atol=1e-12)
 
 
 class TestRope:

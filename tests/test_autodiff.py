@@ -15,6 +15,40 @@ def backprop_scalar(build):
     return loss
 
 
+# every public primitive: callable over tensor inputs, and the input shapes
+PRIMITIVES = {
+    "add": (ad.add, [(3,), (3,)]),
+    "sub": (ad.sub, [(3,), (3,)]),
+    "mul": (ad.mul, [(3,), (3,)]),
+    "div": (ad.div, [(3,), (3,)]),
+    "neg": (ad.neg, [(3,)]),
+    "matmul": (ad.matmul, [(2, 3), (3, 4)]),
+    "transpose": (ad.transpose, [(2, 3)]),
+    "permute": (lambda a: ad.permute(a, (1, 0, 2)), [(2, 3, 4)]),
+    "reshape": (lambda a: ad.reshape(a, (3, 2)), [(2, 3)]),
+    "narrow": (lambda a: ad.narrow(a, 0, 1, 2), [(4, 3)]),
+    "pad_axis_end": (lambda a: ad.pad_axis_end(a, 0, 2), [(3, 2)]),
+    "sum_all": (ad.sum_all, [(3,)]),
+    "mean_all": (ad.mean_all, [(3,)]),
+    "log": (ad.log, [(3,)]),
+    "relu": (ad.relu, [(3,)]),
+    "relu_squared": (ad.relu_squared, [(3,)]),
+    "sigmoid": (ad.sigmoid, [(3,)]),
+    "silu": (ad.silu, [(3,)]),
+    "gelu": (ad.gelu, [(3,)]),
+    "dropout": (lambda a: ad.dropout(a, 0.5, np.random.default_rng(0), True),
+                [(3,)]),
+    "conv1d": (lambda x, w, b: ad.conv1d(x, w, b, stride=2),
+               [(2, 9), (3, 2, 3), (3,)]),
+    "transposed_conv1d": (lambda x, w: ad.transposed_conv1d(x, w, stride=2),
+                          [(2, 5), (2, 3, 4)]),
+    "depthwise_conv1d": (ad.depthwise_conv1d, [(2, 9), (2, 3)]),
+    "layer_norm": (ad.layer_norm, [(4, 3), (3,), (3,)]),
+    "make_op": (lambda a: ad.make_op(
+        2.0 * a.data, [a], lambda g: ad.accumulate_grad(a, 2.0 * g)), [(3,)]),
+}
+
+
 class TestConv1d:
     def test_hand_sum(self):
         x = ad.Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]))
@@ -275,10 +309,35 @@ class TestTapeMechanics:
             tape.backward(loss)
         np.testing.assert_allclose(b.grad, np.full(4, 5.0))
 
-    def test_no_tape_means_no_graph(self):
-        x = ad.Tensor(np.ones(3), requires_grad=True)
-        out = ad.mul(x, x)
+    @pytest.mark.parametrize("name", sorted(PRIMITIVES))
+    def test_no_tape_means_no_graph(self, name):
+        fn, shapes = PRIMITIVES[name]
+
+        def inputs(grad_at=None):
+            rng = np.random.default_rng(0)
+            return [ad.Tensor(rng.uniform(0.5, 1.5, size=s),
+                              requires_grad=i == grad_at)
+                    for i, s in enumerate(shapes)]
+
+        out = fn(*inputs(grad_at=0))
         assert not out.requires_grad and out._backward is None
+        with ad.Tape() as tape:
+            out = fn(*inputs())
+        assert not out.requires_grad and out._backward is None
+        assert len(tape) == 0
+        for i in range(len(shapes)):
+            with ad.Tape() as tape:
+                out = fn(*inputs(grad_at=i))
+            assert len(tape) == 1
+            assert out.requires_grad and out._backward is not None
+
+    def test_graph_cases_cover_every_primitive(self):
+        registered = {
+            name for name, fn in vars(ad).items()
+            if not name.startswith("_") and callable(fn)
+            and "_op" in getattr(getattr(fn, "__code__", None), "co_names", ())
+        }
+        assert registered == set(PRIMITIVES)
 
     def test_determinism(self):
         def run():

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from monosep import attention as attn
 from monosep import autodiff as ad
 from monosep.block import BlockAblation, BlockParams, block_forward, init_block
 
@@ -68,12 +67,13 @@ class TestBlockForward:
         x = rand((9, 6), 8)
         assert block_forward(x, p, abl).shape == (9, 6)
 
-    def test_scores_computed_once_per_chunk(self):
+    def test_scores_computed_once_per_chunk(self, score_builds):
         p, _ = build(seed=9)
         x = rand((20, 6), 10)  # 3 chunks of 8
-        attn.reset_chunk_score_count()
         block_forward(x, p)
-        assert attn.chunk_score_count() == 3
+        # one score build for the single local_attention call, shared by the
+        # value and gate paths
+        assert score_builds == [(3, 8, 8)]
 
     @pytest.mark.parametrize("phi", ["relu", "gelu", "swish", "bilinear",
                                      "sigmoid"])

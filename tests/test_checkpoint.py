@@ -125,6 +125,26 @@ class TestErrors:
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(path)
 
+    def test_every_corruption_is_a_checkpoint_error(self, tmp_path):
+        raw = self.make_file(tmp_path).read_bytes()
+        header_end = 16 + int.from_bytes(raw[8:16], "little")
+
+        def corruptions():
+            # truncate inside preamble and header, then every 997th payload
+            # byte; then set each preamble and header byte to 0xFF
+            for n in [*range(header_end), *range(header_end, len(raw), 997)]:
+                yield raw[:n]
+            for i in range(header_end):
+                yield raw[:i] + b"\xff" + raw[i + 1:]
+
+        path = tmp_path / "corrupt.ckpt"
+        for blob in corruptions():
+            path.write_bytes(blob)
+            try:
+                load_checkpoint(path)
+            except CheckpointError:
+                pass
+
     def test_mismatched_moments(self, tmp_path):
         ckpt = Checkpoint(
             config=cfg_mod.preset("tiny"),

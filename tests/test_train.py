@@ -9,7 +9,7 @@ from monosep import autodiff as ad
 from monosep import config as cfg_mod
 from monosep import model as model_mod
 from monosep import synth, train
-from monosep.errors import ConfigError
+from monosep.errors import ConfigError, NumericalError
 
 
 class TestSynth:
@@ -175,6 +175,25 @@ class TestTrainLoop:
         assert np.isfinite(ckpt.best_val)
         assert set(ckpt.params) == set(model.store.names())
         assert ckpt.adam_m is not None and ckpt.adam_v is not None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_stops_before_update(self, monkeypatch, bad):
+        model, data = tiny_setup(seed=12)
+        store = model.store
+        poisoned = store.trainable()[3][0]
+        before = {n: t.data.copy() for n, t in store.items()}
+        backward = ad.Tape.backward
+
+        def poison(tape, root):
+            backward(tape, root)
+            store[poisoned].grad[0] = bad
+
+        monkeypatch.setattr(ad.Tape, "backward", poison)
+        tcfg = cfg_mod.TrainConfig(lr=1e-3, max_epochs=1, max_steps=1, seed=13)
+        with pytest.raises(NumericalError, match=re.escape(repr(poisoned))):
+            train.train(model, tcfg, data)
+        for n, t in store.items():
+            np.testing.assert_array_equal(t.data, before[n], err_msg=n)
 
     def test_empty_data_rejected(self):
         model, _ = tiny_setup(seed=10)
