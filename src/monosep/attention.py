@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
-from .conv_module import ConvModuleParams, DenseParams, init_conv_module, \
-    init_dense, project
+from .conv_module import ConvModuleParams, DenseParams, init_projection
 from .errors import ConfigError
+
+if TYPE_CHECKING:  # config imports this module for _MODES
+    from .config import ModelConfig
 
 _rope_cache: dict = {}
 
@@ -89,27 +92,23 @@ class AttentionParams:
     global_k_scale: ad.Tensor
     global_k_offset: ad.Tensor
     chunk_size: int
+    mode: str  # one of _MODES
 
 
 _MODES = ("joint", "local_only", "global_only")
 
 
 def init_attention(
-    store: ad.ParamStore, prefix: str, n_in: int, attn_dim: int,
-    dw_kernel: int, dropout_p: float, chunk_size: int,
-    rng: np.random.Generator, dense_shared: bool = False,
+    store: ad.ParamStore, prefix: str, cfg: ModelConfig,
+    rng: np.random.Generator,
 ) -> AttentionParams:
-    if dense_shared:
-        shared = init_dense(store, f"{prefix}.shared", n_in, attn_dim, rng)
-    else:
-        shared = init_conv_module(
-            store, f"{prefix}.shared", n_in, attn_dim, dw_kernel, dropout_p, rng
-        )
+    shared = init_projection(store, f"{prefix}.shared", cfg.n_feat,
+                             cfg.attn_dim, cfg, cfg.dense_qk, rng)
 
     def pair(name):
         return (
-            store.add(f"{prefix}.{name}_scale", np.ones(attn_dim)),
-            store.add(f"{prefix}.{name}_offset", np.zeros(attn_dim)),
+            store.add(f"{prefix}.{name}_scale", np.ones(cfg.attn_dim)),
+            store.add(f"{prefix}.{name}_offset", np.zeros(cfg.attn_dim)),
         )
 
     lq, lqo = pair("local_q")
@@ -122,7 +121,8 @@ def init_attention(
         local_k_scale=lk, local_k_offset=lko,
         global_q_scale=gq, global_q_offset=gqo,
         global_k_scale=gk, global_k_offset=gko,
-        chunk_size=chunk_size,
+        chunk_size=cfg.chunk_size,
+        mode=cfg.attention_mode,
     )
 
 
@@ -184,22 +184,20 @@ def local_attention(q, k, values, gates, chunk_size: int):
 
 
 def joint_attention(
-    x, values, gates, p: AttentionParams, mode: str = "joint",
-    train: bool = False, rng: np.random.Generator | None = None,
+    x, values, gates, p: AttentionParams, train: bool = False,
+    rng: np.random.Generator | None = None,
 ):
     """Block input (S, N) + value/gate sequences (S, G) -> attended pair.
 
-    Returns (attended values, attended gates). Modes: "joint" sums the local
-    and global branch outputs elementwise; the *_only modes return a single
-    branch for ablations.
+    Returns (attended values, attended gates). Modes (``p.mode``): "joint"
+    sums the local and global branch outputs elementwise; the *_only modes
+    return a single branch for ablations.
     """
-    if mode not in _MODES:
-        raise ConfigError(f"unknown attention mode {mode!r}; expected {_MODES}")
-    shared = project(x, p.shared, train, rng)
+    shared = p.shared(x, train, rng)
     q_loc, k_loc, q_glob, k_glob = derive_qk(shared, p)
-    if mode == "local_only":
+    if p.mode == "local_only":
         return local_attention(q_loc, k_loc, values, gates, p.chunk_size)
-    if mode == "global_only":
+    if p.mode == "global_only":
         return global_attention(q_glob, k_glob, values, gates)
     lv, lg = local_attention(q_loc, k_loc, values, gates, p.chunk_size)
     gv, gg = global_attention(q_glob, k_glob, values, gates)

@@ -15,16 +15,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import AttentionParams, init_attention, joint_attention
+from .config import ModelConfig
 from .conv_module import ConvModuleParams, DenseParams, init_conv_module, \
-    init_dense, project
-
-
-@dataclass
-class BlockAblation:
-    attention_mode: str = "joint"  # joint | local_only | global_only
-    single_gate: bool = False  # drop the phi(gate * attended-value) factor
-    dense_uv: bool = False  # gate/value paths: norm + linear instead of ConvM
-    dense_qk: bool = False  # shared attention representation likewise
+    init_projection
 
 
 @dataclass
@@ -33,54 +26,41 @@ class BlockParams:
     to_value: ConvModuleParams | DenseParams  # N -> 2N
     attn: AttentionParams
     out_proj: ConvModuleParams  # 2N -> N
-    gate_phi: str = "sigmoid"
+    single_gate: bool  # drop the phi(gate * attended-value) factor
+    gate_phi: str
 
 
 def init_block(
-    store: ad.ParamStore, prefix: str, n_feat: int, attn_dim: int,
-    dw_kernel: int, chunk_size: int, dropout_p: float, gate_phi: str,
-    rng: np.random.Generator, abl: BlockAblation | None = None,
+    store: ad.ParamStore, prefix: str, cfg: ModelConfig,
+    rng: np.random.Generator,
 ) -> BlockParams:
-    abl = abl or BlockAblation()
-    wide = 2 * n_feat
-    if abl.dense_uv:
-        to_gate = init_dense(store, f"{prefix}.gate", n_feat, wide, rng)
-        to_value = init_dense(store, f"{prefix}.value", n_feat, wide, rng)
-    else:
-        to_gate = init_conv_module(
-            store, f"{prefix}.gate", n_feat, wide, dw_kernel, dropout_p, rng
-        )
-        to_value = init_conv_module(
-            store, f"{prefix}.value", n_feat, wide, dw_kernel, dropout_p, rng
-        )
+    n_feat, wide = cfg.n_feat, 2 * cfg.n_feat
     return BlockParams(
-        to_gate=to_gate,
-        to_value=to_value,
-        attn=init_attention(
-            store, f"{prefix}.attn", n_feat, attn_dim, dw_kernel, dropout_p,
-            chunk_size, rng, dense_shared=abl.dense_qk,
-        ),
-        out_proj=init_conv_module(
-            store, f"{prefix}.out", wide, n_feat, dw_kernel, dropout_p, rng
-        ),
-        gate_phi=gate_phi,
+        to_gate=init_projection(store, f"{prefix}.gate", n_feat, wide, cfg,
+                                cfg.dense_uv, rng),
+        to_value=init_projection(store, f"{prefix}.value", n_feat, wide, cfg,
+                                 cfg.dense_uv, rng),
+        attn=init_attention(store, f"{prefix}.attn", cfg, rng),
+        out_proj=init_conv_module(store, f"{prefix}.out", wide, n_feat,
+                                  cfg.dw_kernel, cfg.dropout_p, rng),
+        single_gate=cfg.single_gate,
+        gate_phi=cfg.gate_phi,
     )
 
 
 def block_forward(
-    x, p: BlockParams, abl: BlockAblation | None = None, train: bool = False,
+    x, p: BlockParams, train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> ad.Tensor:
-    abl = abl or BlockAblation()
     x = ad.as_tensor(x)
-    gate_seq = project(x, p.to_gate, train, rng)
-    value_seq = project(x, p.to_value, train, rng)
+    gate_seq = p.to_gate(x, train, rng)
+    value_seq = p.to_value(x, train, rng)
     value_attn, gate_attn = joint_attention(
-        x, value_seq, gate_seq, p.attn, abl.attention_mode, train, rng
+        x, value_seq, gate_seq, p.attn, train, rng
     )
     gated = ad.mul(gate_attn, value_seq)
-    if not abl.single_gate:
+    if not p.single_gate:
         gated = ad.mul(
             ad.activation(p.gate_phi, ad.mul(gate_seq, value_attn)), gated
         )
-    return ad.add(x, project(gated, p.out_proj, train, rng))
+    return ad.add(x, p.out_proj(gated, train, rng))

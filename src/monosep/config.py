@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from .block import BlockAblation
+from .attention import _MODES
+from .autodiff import _ACTIVATIONS
 from .errors import ConfigError
 
 
@@ -31,14 +32,6 @@ class ModelConfig:
     def enc_stride(self) -> int:
         return self.enc_kernel // 2
 
-    def ablation(self) -> BlockAblation:
-        return BlockAblation(
-            attention_mode=self.attention_mode,
-            single_gate=self.single_gate,
-            dense_uv=self.dense_uv,
-            dense_qk=self.dense_qk,
-        )
-
     def validate(self) -> "ModelConfig":
         if self.enc_kernel % 2 != 0:
             raise ConfigError(f"enc_kernel must be even, got {self.enc_kernel}")
@@ -50,6 +43,12 @@ class ModelConfig:
             raise ConfigError(f"n_speakers must be >= 1, got {self.n_speakers}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
+        if self.attention_mode not in _MODES:
+            raise ConfigError(f"unknown attention_mode {self.attention_mode!r}; "
+                              f"expected one of {_MODES}")
+        if self.gate_phi not in _ACTIVATIONS:
+            raise ConfigError(f"unknown gate_phi {self.gate_phi!r}; "
+                              f"expected one of {sorted(_ACTIVATIONS)}")
         return self
 
 

@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError
+
+if TYPE_CHECKING:  # config imports attention, which imports this module
+    from .config import ModelConfig
 
 
 @dataclass
@@ -25,6 +29,10 @@ class ConvModuleParams:
     dw_weight: ad.Tensor  # (N_out, K2)
     dropout_p: float = 0.0
 
+    def __call__(self, x, train: bool = False,
+                 rng: np.random.Generator | None = None) -> ad.Tensor:
+        return conv_module_forward(x, self, train, rng)
+
 
 @dataclass
 class DenseParams:
@@ -32,6 +40,10 @@ class DenseParams:
     norm_bias: ad.Tensor
     proj_weight: ad.Tensor
     proj_bias: ad.Tensor
+
+    def __call__(self, x, train: bool = False,
+                 rng: np.random.Generator | None = None) -> ad.Tensor:
+        return dense_forward(x, self)
 
 
 def _init_norm_and_proj(store, prefix, n_in, n_out, rng):
@@ -74,6 +86,17 @@ def init_dense(
     )
 
 
+def init_projection(
+    store: ad.ParamStore, prefix: str, n_in: int, n_out: int,
+    cfg: ModelConfig, dense: bool, rng: np.random.Generator,
+) -> ConvModuleParams | DenseParams:
+    """A convolution module, or its dense stand-in when ``dense`` is set."""
+    if dense:
+        return init_dense(store, prefix, n_in, n_out, rng)
+    return init_conv_module(store, prefix, n_in, n_out, cfg.dw_kernel,
+                            cfg.dropout_p, rng)
+
+
 def conv_module_forward(
     x, p: ConvModuleParams, train: bool = False,
     rng: np.random.Generator | None = None,
@@ -86,18 +109,7 @@ def conv_module_forward(
     return ad.dropout(ad.add(y0, dw), p.dropout_p, rng, train)
 
 
-def dense_forward(x, p: DenseParams, train: bool = False,
-                  rng: np.random.Generator | None = None) -> ad.Tensor:
+def dense_forward(x, p: DenseParams) -> ad.Tensor:
     """Ablation stand-in: normalization and projection only."""
     return ad.linear(ad.layer_norm(x, p.norm_gain, p.norm_bias),
                      p.proj_weight, p.proj_bias)
-
-
-def project(x, p, train: bool = False,
-            rng: np.random.Generator | None = None) -> ad.Tensor:
-    """Dispatch on the parameter flavor; keeps ablation call sites uniform."""
-    if isinstance(p, ConvModuleParams):
-        return conv_module_forward(x, p, train, rng)
-    if isinstance(p, DenseParams):
-        return dense_forward(x, p, train, rng)
-    raise ConfigError(f"unknown projection parameters: {type(p).__name__}")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .block import BlockAblation, BlockParams, block_forward, init_block
+from .block import BlockParams, block_forward, init_block
 from .config import ModelConfig
 from .errors import ConfigError
 
@@ -61,14 +61,8 @@ def init_masking_net(
     n = cfg.n_feat
     wide = cfg.n_speakers * n
     in_w, in_b = _linear_params(store, f"{prefix}.in", n, n, rng)
-    blocks = [
-        init_block(
-            store, f"{prefix}.block{i}", n, cfg.attn_dim, cfg.dw_kernel,
-            cfg.chunk_size, cfg.dropout_p, cfg.gate_phi, rng,
-            abl=cfg.ablation(),
-        )
-        for i in range(cfg.n_blocks)
-    ]
+    blocks = [init_block(store, f"{prefix}.block{i}", cfg, rng)
+              for i in range(cfg.n_blocks)]
     expand_w, expand_b = _linear_params(store, f"{prefix}.expand", n, wide, rng)
     glu_v_w, glu_v_b = _linear_params(store, f"{prefix}.glu_value", wide, wide, rng)
     glu_g_w, glu_g_b = _linear_params(store, f"{prefix}.glu_gate", wide, wide, rng)
@@ -87,8 +81,8 @@ def init_masking_net(
 
 
 def masking_net_forward(
-    features, p: MaskingNetParams, abl: BlockAblation | None = None,
-    train: bool = False, rng: np.random.Generator | None = None,
+    features, p: MaskingNetParams, train: bool = False,
+    rng: np.random.Generator | None = None,
 ) -> ad.Tensor:
     """Encoded features (N, S) -> non-negative masks (C, N, S).
 
@@ -106,7 +100,7 @@ def masking_net_forward(
     x = ad.add(ad.layer_norm(x, p.norm_gain, p.norm_bias), ad.constant(pe))
     x = ad.linear(x, p.in_weight, p.in_bias)
     for bp in p.blocks:
-        x = block_forward(x, bp, abl, train, rng)
+        x = block_forward(x, bp, train, rng)
     x = ad.relu(x)
     x = ad.linear(x, p.expand_weight, p.expand_bias)  # (S, C*N)
     x = ad.mul(

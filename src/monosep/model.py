@@ -49,9 +49,7 @@ def compute_masks(
     rng: np.random.Generator | None = None,
 ) -> ad.Tensor:
     """Feature map (N, S) -> per-speaker masks (C, N, S)."""
-    return masking_net_forward(
-        features, model.net, model.config.ablation(), train, rng
-    )
+    return masking_net_forward(features, model.net, train, rng)
 
 
 def separate(

@@ -1,12 +1,14 @@
 """Tests for joint attention: dense oracles, RoPE, chunking, branch algebra."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from monosep import attention as attn
 from monosep import autodiff as ad
+from monosep.config import ModelConfig, preset
 from monosep.errors import ConfigError
 
 
@@ -151,11 +153,16 @@ class TestRope:
         assert ad.gradient_check(f, store, h=1e-5) < 1e-6
 
 
+def attention_config(**fields):
+    return ModelConfig(**{"n_feat": 6, "attn_dim": 4, "dw_kernel": 3,
+                          "chunk_size": 8, "dropout_p": 0.0, **fields})
+
+
 def build_attention(n_in=6, attn_dim=4, chunk=8, seed=38, dense=False):
     store = ad.ParamStore()
     rng = np.random.default_rng(seed)
-    p = attn.init_attention(store, "attn", n_in, attn_dim, 3, 0.0, chunk, rng,
-                            dense_shared=dense)
+    p = attn.init_attention(store, "attn", attention_config(
+        n_feat=n_in, attn_dim=attn_dim, chunk_size=chunk, dense_qk=dense), rng)
     # break the identity initialization so branches differ
     for t in (p.local_q_scale, p.local_k_scale, p.global_q_scale,
               p.global_k_scale):
@@ -169,7 +176,7 @@ def build_attention(n_in=6, attn_dim=4, chunk=8, seed=38, dense=False):
 class TestDeriveQk:
     def test_identity_transform_at_position_zero(self):
         store = ad.ParamStore()
-        p = attn.init_attention(store, "attn", 6, 4, 3, 0.0, 8,
+        p = attn.init_attention(store, "attn", attention_config(),
                                 np.random.default_rng(39))
         shared = ad.Tensor(rand((5, 4), 40))
         q_loc, k_loc, q_glob, k_glob = attn.derive_qk(shared, p)
@@ -178,7 +185,7 @@ class TestDeriveQk:
 
     def test_zero_scale_keeps_only_offset(self):
         store = ad.ParamStore()
-        p = attn.init_attention(store, "attn", 6, 4, 3, 0.0, 8,
+        p = attn.init_attention(store, "attn", attention_config(),
                                 np.random.default_rng(41))
         p.local_q_scale.data[:] = 0.0
         p.local_q_offset.data[:] = [1.0, 2.0, 3.0, 4.0]
@@ -201,9 +208,9 @@ class TestJointAttention:
         p, _ = build_attention()
         x = ad.Tensor(rand((20, 6), 44))
         v, u = ad.Tensor(rand((20, 8), 45)), ad.Tensor(rand((20, 8), 46))
-        jv, ju = attn.joint_attention(x, v, u, p, "joint")
-        lv, lu = attn.joint_attention(x, v, u, p, "local_only")
-        gv, gu = attn.joint_attention(x, v, u, p, "global_only")
+        jv, ju = attn.joint_attention(x, v, u, p)
+        lv, lu = attn.joint_attention(x, v, u, replace(p, mode="local_only"))
+        gv, gu = attn.joint_attention(x, v, u, replace(p, mode="global_only"))
         assert np.array_equal(jv.data, lv.data + gv.data)
         assert np.array_equal(ju.data, lu.data + gu.data)
 
@@ -213,8 +220,8 @@ class TestJointAttention:
         p.global_k_offset.data[:] = 0.0
         x = ad.Tensor(rand((12, 6), 47))
         v, u = ad.Tensor(rand((12, 8), 48)), ad.Tensor(rand((12, 8), 49))
-        jv, _ = attn.joint_attention(x, v, u, p, "joint")
-        lv, _ = attn.joint_attention(x, v, u, p, "local_only")
+        jv, _ = attn.joint_attention(x, v, u, p)
+        lv, _ = attn.joint_attention(x, v, u, replace(p, mode="local_only"))
         np.testing.assert_array_equal(jv.data, lv.data)
 
     def test_zeroed_local_keys_reduce_to_global(self):
@@ -223,21 +230,20 @@ class TestJointAttention:
         p.local_k_offset.data[:] = 0.0
         x = ad.Tensor(rand((12, 6), 50))
         v, u = ad.Tensor(rand((12, 8), 51)), ad.Tensor(rand((12, 8), 52))
-        jv, _ = attn.joint_attention(x, v, u, p, "joint")
-        gv, _ = attn.joint_attention(x, v, u, p, "global_only")
+        jv, _ = attn.joint_attention(x, v, u, p)
+        gv, _ = attn.joint_attention(x, v, u, replace(p, mode="global_only"))
         np.testing.assert_array_equal(jv.data, gv.data)
 
     def test_unknown_mode(self):
-        p, _ = build_attention()
-        x = ad.Tensor(rand((4, 6), 53))
-        with pytest.raises(ConfigError, match="attention mode"):
-            attn.joint_attention(x, x, x, p, "softmax")
+        # the mode is checked once, when the config is validated
+        with pytest.raises(ConfigError, match="attention_mode"):
+            preset("tiny", attention_mode="softmax")
 
     def test_dense_shared_variant_runs(self):
         p, _ = build_attention(dense=True)
         x = ad.Tensor(rand((10, 6), 54))
         v, u = ad.Tensor(rand((10, 8), 55)), ad.Tensor(rand((10, 8), 56))
-        jv, ju = attn.joint_attention(x, v, u, p, "joint")
+        jv, ju = attn.joint_attention(x, v, u, p)
         assert jv.shape == (10, 8) and ju.shape == (10, 8)
 
     def test_gradient_through_joint(self):
@@ -248,8 +254,7 @@ class TestJointAttention:
 
         def f(params):
             jv, ju = attn.joint_attention(
-                ad.Tensor(x_data), ad.Tensor(v_data), ad.Tensor(u_data), p,
-                "joint",
+                ad.Tensor(x_data), ad.Tensor(v_data), ad.Tensor(u_data), p
             )
             return ad.sum_all(ad.mul(ad.add(jv, ju), ad.Tensor(probe)))
 

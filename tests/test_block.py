@@ -1,17 +1,21 @@
 """Tests for the gated attention block: residual, gating algebra, ablations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from monosep import autodiff as ad
-from monosep.block import BlockAblation, BlockParams, block_forward, init_block
+from monosep.block import block_forward, init_block
+from monosep.config import ModelConfig, preset
+from monosep.errors import ConfigError
 
 
-def build(n_feat=6, attn_dim=4, chunk=8, seed=0, abl=None, phi="sigmoid"):
+def build(n_feat=6, attn_dim=4, chunk=8, seed=0, phi="sigmoid", **flags):
+    cfg = ModelConfig(n_feat=n_feat, attn_dim=attn_dim, dw_kernel=3,
+                      chunk_size=chunk, dropout_p=0.0, gate_phi=phi, **flags)
     store = ad.ParamStore()
-    rng = np.random.default_rng(seed)
-    p = init_block(store, "b0", n_feat, attn_dim, 3, chunk, 0.0, phi, rng,
-                   abl=abl)
+    p = init_block(store, "b0", cfg, np.random.default_rng(seed))
     return p, store
 
 
@@ -46,26 +50,26 @@ class TestBlockForward:
     def test_single_gate_differs_from_triple(self):
         p, _ = build(seed=3)
         x = rand((10, 6), 4)
-        triple = block_forward(x, p, BlockAblation(single_gate=False))
-        single = block_forward(x, p, BlockAblation(single_gate=True))
+        triple = block_forward(x, p)
+        single = block_forward(x, dataclasses.replace(p, single_gate=True))
         assert np.abs(triple.data - single.data).max() > 0
 
     @pytest.mark.parametrize("mode", ["joint", "local_only", "global_only"])
     def test_shape_preserved(self, mode):
-        p, _ = build(seed=5)
+        p, _ = build(seed=5, attention_mode=mode)
         x = rand((13, 6), 6)
-        out = block_forward(x, p, BlockAblation(attention_mode=mode))
+        out = block_forward(x, p)
         assert out.shape == (13, 6)
 
     @pytest.mark.parametrize(
         "abl",
-        [BlockAblation(dense_uv=True), BlockAblation(dense_qk=True),
-         BlockAblation(dense_uv=True, dense_qk=True)],
+        [dict(dense_uv=True), dict(dense_qk=True),
+         dict(dense_uv=True, dense_qk=True)],
     )
     def test_dense_ablations_run(self, abl):
-        p, _ = build(seed=7, abl=abl)
+        p, _ = build(seed=7, **abl)
         x = rand((9, 6), 8)
-        assert block_forward(x, p, abl).shape == (9, 6)
+        assert block_forward(x, p).shape == (9, 6)
 
     def test_scores_computed_once_per_chunk(self, score_builds):
         p, _ = build(seed=9)
@@ -82,6 +86,10 @@ class TestBlockForward:
         x = rand((10, 6), 12)
         out = block_forward(x, p)
         assert np.isfinite(out.data).all()
+
+    def test_unknown_gate_phi(self):
+        with pytest.raises(ConfigError, match="gate_phi"):
+            preset("tiny", gate_phi="tanh")
 
     def test_eval_deterministic(self):
         p, _ = build(seed=13)

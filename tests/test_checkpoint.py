@@ -12,8 +12,8 @@ from monosep.checkpoint import (Checkpoint, load_checkpoint, restore_model,
 from monosep.errors import CheckpointError
 
 
-def trained_checkpoint(seed=0):
-    cfg = cfg_mod.preset("tiny")
+def trained_checkpoint(seed=0, **ablation):
+    cfg = cfg_mod.preset("tiny", **ablation)
     model = model_mod.build_model(cfg, seed=seed)
     data = synth.synth_dataset(seed + 50, 3, 2, 400)
     tcfg = cfg_mod.TrainConfig(lr=1e-3, max_epochs=2, seed=seed + 1)
@@ -49,8 +49,16 @@ class TestRoundTrip:
         assert loaded.adam_step == ckpt.adam_step
         assert loaded.rng_state == ckpt.rng_state
 
-    def test_restored_model_separates_identically(self, tmp_path):
-        model, ckpt = trained_checkpoint(seed=2)
+    # restore_model alone carries the ablation choices into the rebuilt model
+    @pytest.mark.parametrize(
+        "ablation",
+        [{}, {"single_gate": True}, {"dense_uv": True}, {"dense_qk": True},
+         {"attention_mode": "local_only"}, {"attention_mode": "global_only"}],
+        ids=["default", "single_gate", "dense_uv", "dense_qk", "local_only",
+             "global_only"],
+    )
+    def test_restored_model_separates_identically(self, tmp_path, ablation):
+        model, ckpt = trained_checkpoint(seed=2, **ablation)
         path = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, path)
         restored = restore_model(load_checkpoint(path))

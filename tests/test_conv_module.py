@@ -91,18 +91,19 @@ class TestDense:
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_project_dispatch(self):
-        p_conv, _ = build()
+        # calling either params flavour runs its own forward function
+        p_conv, _ = build(dropout_p=0.5)
         store = ad.ParamStore()
         p_dense = cm.init_dense(store, "d", 6, 12, np.random.default_rng(8))
         x = ad.Tensor(np.random.default_rng(9).normal(size=(4, 6)))
         np.testing.assert_array_equal(
-            cm.project(x, p_conv).data, cm.conv_module_forward(x, p_conv).data
+            p_conv(x, True, np.random.default_rng(3)).data,
+            cm.conv_module_forward(x, p_conv, True,
+                                   np.random.default_rng(3)).data,
         )
         np.testing.assert_array_equal(
-            cm.project(x, p_dense).data, cm.dense_forward(x, p_dense).data
+            p_dense(x).data, cm.dense_forward(x, p_dense).data
         )
-        with pytest.raises(ConfigError, match="projection"):
-            cm.project(x, object())
 
 
 class TestGradients:

@@ -39,7 +39,7 @@ class TestMaskingNet:
         m = tiny_model()
         rng = np.random.default_rng(1)
         feats = ad.Tensor(rng.uniform(0, 1, size=(16, 20)))
-        masks = masking.masking_net_forward(feats, m.net, m.config.ablation())
+        masks = masking.masking_net_forward(feats, m.net)
         assert masks.shape == (2, 16, 20)
         assert masks.data.min() >= 0.0
 
@@ -48,7 +48,7 @@ class TestMaskingNet:
         m.net.out_weight.data[:] = 0.0
         m.net.out_bias.data[:] = 0.0
         feats = ad.Tensor(np.random.default_rng(2).uniform(0, 1, size=(16, 9)))
-        masks = masking.masking_net_forward(feats, m.net, m.config.ablation())
+        masks = masking.masking_net_forward(feats, m.net)
         np.testing.assert_array_equal(masks.data, np.zeros((2, 16, 9)))
 
     def test_speaker_major_reshape(self):
@@ -59,15 +59,15 @@ class TestMaskingNet:
         m.net.out_bias.data[:16] = 1.0
         m.net.out_bias.data[16:] = 3.0
         feats = ad.Tensor(np.random.default_rng(3).uniform(0, 1, size=(16, 5)))
-        masks = masking.masking_net_forward(feats, m.net, m.config.ablation())
+        masks = masking.masking_net_forward(feats, m.net)
         np.testing.assert_array_equal(masks.data[0], np.ones((16, 5)))
         np.testing.assert_array_equal(masks.data[1], np.full((16, 5), 3.0))
 
     def test_eval_deterministic(self):
         m = tiny_model(seed=4)
         feats = ad.Tensor(np.random.default_rng(5).uniform(0, 1, size=(16, 12)))
-        a = masking.masking_net_forward(feats, m.net, m.config.ablation())
-        b = masking.masking_net_forward(feats, m.net, m.config.ablation())
+        a = masking.masking_net_forward(feats, m.net)
+        b = masking.masking_net_forward(feats, m.net)
         assert np.array_equal(a.data, b.data)
 
     def test_bad_feature_rank(self):
@@ -107,6 +107,16 @@ class TestModelAssembly:
         assert per_block > 0 and non_block > 0
         # block subtotal doubles when R doubles
         assert n2 == non_block + 2 * per_block
+
+    def test_forward_ignores_config_after_build(self):
+        # ablation choices are fixed when the model is built
+        m = tiny_model(seed=14, attention_mode="local_only", single_gate=True)
+        mixture = np.random.default_rng(15).normal(size=300)
+        before = [t.data for t in model.separate(m, mixture)]
+        m.config.attention_mode, m.config.single_gate = "joint", False
+        after = [t.data for t in model.separate(m, mixture)]
+        for a, b in zip(before, after):
+            np.testing.assert_array_equal(a, b)
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="preset"):
