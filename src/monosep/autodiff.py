@@ -15,9 +15,10 @@ some input requires grad, marks the output and appends it to the tape.
 Code outside this module registers fused primitives through ``make_op``.
 
 Shape conventions follow the rest of the package: sequences are (frames,
-features), 1-D convolutions are (channels, length). Element precision is
-whatever dtype the arrays carry; tests use float64, training may use
-float32.
+features), and so is the depthwise convolution, which runs over frames with
+no transpose around it. The codec's ``conv1d`` and ``transposed_conv1d``
+are (channels, length). Element precision is whatever dtype the arrays
+carry; tests use float64, training may use float32.
 """
 
 from __future__ import annotations
@@ -559,19 +560,44 @@ def transposed_conv1d(x, weight, stride: int) -> Tensor:
     return _op(out_data, (x, weight), backward)
 
 
-def depthwise_conv1d(x, weight) -> Tensor:
-    """Per-channel same-length convolution. x (C, L), weight (C, K), K odd.
+# cache budget for one block of depthwise output frames: all K taps
+# accumulate into the block while it stays resident
+_DEPTHWISE_BLOCK_BYTES = 256 * 1024
 
-    Symmetric zero padding of (K-1)/2 on each side keeps the output length L;
-    channel c of the output depends only on channel c of the input.
+
+def _depthwise_frames(xp: np.ndarray, taps: np.ndarray, L: int) -> np.ndarray:
+    """out[s] = sum_k taps[k] * xp[s + k] for s < L, accumulated in k order.
+
+    xp (L + K - 1, C) is frame-padded input, taps (K, C) one weight row per
+    tap. Output frames go in blocks of at most _DEPTHWISE_BLOCK_BYTES; a
+    width whose whole output fits the budget runs as a single block.
+    """
+    K, C = taps.shape
+    out = np.empty((L, C), dtype=np.result_type(xp, taps))
+    rows = max(1, _DEPTHWISE_BLOCK_BYTES // max(1, C * out.itemsize))
+    for s0 in range(0, L, rows):
+        block = out[s0 : s0 + rows]
+        n = len(block)
+        np.multiply(taps[0], xp[s0 : s0 + n], out=block)
+        for k in range(1, K):
+            block += taps[k] * xp[s0 + k : s0 + k + n]
+    return out
+
+
+def depthwise_conv1d(x, weight) -> Tensor:
+    """Per-channel same-length convolution over frames. x (L, C), weight
+    (C, K), K odd -> (L, C).
+
+    Symmetric zero padding of (K-1)/2 frames on each side keeps the output
+    length L; channel c of the output depends only on channel c of the input.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     if x.data.ndim != 2 or weight.data.ndim != 2:
         raise DimensionError(
-            f"depthwise_conv1d expects x (C, L) and weight (C, K); "
+            f"depthwise_conv1d expects x (L, C) and weight (C, K); "
             f"got {x.data.shape} and {weight.data.shape}"
         )
-    C, L = x.data.shape
+    L, C = x.data.shape
     w_c, K = weight.data.shape
     if w_c != C:
         raise DimensionError(
@@ -581,22 +607,21 @@ def depthwise_conv1d(x, weight) -> Tensor:
         raise ConfigError(f"depthwise kernel size must be odd, got {K}")
 
     pad = (K - 1) // 2
-    xp = np.pad(x.data, ((0, 0), (pad, pad)))
-    out_data = weight.data[:, 0:1] * xp[:, 0:L]
-    for k in range(1, K):
-        out_data += weight.data[:, k : k + 1] * xp[:, k : k + L]
+    xp = np.pad(x.data, ((pad, pad), (0, 0)))
+    taps = np.ascontiguousarray(weight.data.T)
+    out_data = _depthwise_frames(xp, taps, L)
 
     def backward(g):
         if weight.requires_grad:
             gw = np.empty_like(weight.data)
             for k in range(K):
-                gw[:, k] = (g * xp[:, k : k + L]).sum(axis=1)
+                gw[:, k] = np.einsum("sc,sc->c", g, xp[k : k + L])
             _accum(weight, gw)
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for k in range(K):
-                gxp[:, k : k + L] += weight.data[:, k : k + 1] * g
-            _accum(x, gxp[:, pad : pad + L])
+            # the adjoint of a symmetric same-length correlation is the
+            # same correlation with the taps reversed
+            _accum(x, _depthwise_frames(np.pad(g, ((pad, pad), (0, 0))),
+                                        taps[::-1], L))
 
     return _op(out_data, (x, weight), backward)
 

@@ -11,9 +11,10 @@ Layout (all integers little-endian):
     data         raw array bytes in table order: parameters, then first and
                  second Adam moments in the same order when present
 
-Saving is atomic (write to a temp file, then rename). Loading verifies the
-magic, version, and payload length, raises CheckpointError for any malformed
-file, and reproduces arrays bit-exactly.
+Saving validates the model config and is atomic (write to a temp file, then
+rename). Loading verifies the magic, version, payload length and model
+config, raises CheckpointError for any malformed file, and reproduces arrays
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ def _le_dtype(arr: np.ndarray) -> np.dtype:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write ``ckpt`` atomically; an invalid config raises ConfigError
+    before any file is created."""
+    ckpt.config.validate()
     names = list(ckpt.params)
     table = []
     blobs = []
@@ -151,7 +155,7 @@ def _decode(raw: bytes, path) -> Checkpoint:
     if offset != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after payload")
     return Checkpoint(
-        config=ModelConfig(**header["config"]),
+        config=ModelConfig(**header["config"]).validate(),
         params=params,
         adam_m=adam_m,
         adam_v=adam_v,

@@ -104,8 +104,7 @@ def conv_module_forward(
     """x (S, N_in) -> (S, N_out); the skip spans the depthwise convolution."""
     y0 = ad.silu(ad.linear(ad.layer_norm(x, p.norm_gain, p.norm_bias),
                            p.proj_weight, p.proj_bias))
-    along_time = ad.transpose(y0)  # depthwise runs over frames per channel
-    dw = ad.transpose(ad.depthwise_conv1d(along_time, p.dw_weight))
+    dw = ad.depthwise_conv1d(y0, p.dw_weight)
     return ad.dropout(ad.add(y0, dw), p.dropout_p, rng, train)
 
 

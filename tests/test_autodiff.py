@@ -42,7 +42,7 @@ PRIMITIVES = {
                [(2, 9), (3, 2, 3), (3,)]),
     "transposed_conv1d": (lambda x, w: ad.transposed_conv1d(x, w, stride=2),
                           [(2, 5), (2, 3, 4)]),
-    "depthwise_conv1d": (ad.depthwise_conv1d, [(2, 9), (2, 3)]),
+    "depthwise_conv1d": (ad.depthwise_conv1d, [(9, 2), (2, 3)]),
     "layer_norm": (ad.layer_norm, [(4, 3), (3,), (3,)]),
     "make_op": (lambda a: ad.make_op(
         2.0 * a.data, [a], lambda g: ad.accumulate_grad(a, 2.0 * g)), [(3,)]),
@@ -138,35 +138,82 @@ class TestTransposedConv1d:
         np.testing.assert_allclose(x.grad, via_transposed.data, atol=1e-12)
 
 
+def reference_depthwise(x, w):
+    """Naive frames-major depthwise convolution, one tap at a time in k order."""
+    L = x.shape[0]
+    K = w.shape[1]
+    xp = np.pad(x, (((K - 1) // 2, (K - 1) // 2), (0, 0)))
+    out = w[:, 0] * xp[0:L]
+    for k in range(1, K):
+        out = out + w[:, k] * xp[k : k + L]
+    return out
+
+
 class TestDepthwiseConv1d:
     def test_center_tap_identity(self):
         rng = np.random.default_rng(2)
-        x = ad.Tensor(rng.normal(size=(1, 9)))
+        x = ad.Tensor(rng.normal(size=(9, 1)))
         w = ad.Tensor(np.array([[0.0, 1.0, 0.0]]))
         out = ad.depthwise_conv1d(x, w)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_edge_zero_padding(self):
-        x = ad.Tensor(np.ones((1, 4)))
+        x = ad.Tensor(np.ones((4, 1)))
         w = ad.Tensor(np.ones((1, 3)))
         out = ad.depthwise_conv1d(x, w)
-        np.testing.assert_array_equal(out.data, [[2.0, 3.0, 3.0, 2.0]])
+        np.testing.assert_array_equal(out.data, [[2.0], [3.0], [3.0], [2.0]])
 
     def test_channel_isolation(self):
         rng = np.random.default_rng(3)
-        x = ad.Tensor(rng.normal(size=(2, 12)))
+        x = ad.Tensor(rng.normal(size=(12, 2)))
         w = ad.Tensor(np.vstack([rng.normal(size=3), np.zeros(3)]))
         out = ad.depthwise_conv1d(x, w)
-        np.testing.assert_array_equal(out.data[1], np.zeros(12))
+        np.testing.assert_array_equal(out.data[:, 1], np.zeros(12))
         # perturbing channel 1 input leaves channel 0 output unchanged
         x2 = x.data.copy()
-        x2[1] += 100.0
+        x2[:, 1] += 100.0
         out2 = ad.depthwise_conv1d(ad.Tensor(x2), w)
-        np.testing.assert_array_equal(out.data[0], out2.data[0])
+        np.testing.assert_array_equal(out.data[:, 0], out2.data[:, 0])
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError, match="odd"):
-            ad.depthwise_conv1d(ad.Tensor(np.zeros((1, 8))), ad.Tensor(np.zeros((1, 4))))
+            ad.depthwise_conv1d(ad.Tensor(np.zeros((8, 1))), ad.Tensor(np.zeros((1, 4))))
+
+    def test_channels_major_input_rejected(self):
+        x = ad.Tensor(np.zeros((512, 40)))  # (C, L) instead of (L, C)
+        with pytest.raises(DimensionError, match="C=40.*C=512"):
+            ad.depthwise_conv1d(x, ad.Tensor(np.zeros((512, 3))))
+
+    @pytest.mark.parametrize("K", [1, 3, 31], ids=lambda k: f"K{k}")
+    @pytest.mark.parametrize("blocks,extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)],
+                             ids=["L1", "Lrows-1", "Lrows", "Lrows+1", "L3rows+5"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_blocks_match_reference_bitwise(self, dtype, blocks, extra, K):
+        C = 512
+        rows = ad._DEPTHWISE_BLOCK_BYTES // (C * np.dtype(dtype).itemsize)
+        rng = np.random.default_rng(K)
+        x = rng.normal(size=(blocks * rows + extra, C)).astype(dtype)
+        w = rng.normal(size=(C, K)).astype(dtype)
+        out = ad.depthwise_conv1d(ad.Tensor(x), ad.Tensor(w)).data
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, reference_depthwise(x, w))
+
+    @pytest.mark.parametrize("L", [1, 11], ids=lambda n: f"L{n}")
+    @pytest.mark.parametrize("K", [1, 3, 7], ids=lambda k: f"K{k}")
+    def test_gradient_across_blocks(self, monkeypatch, L, K):
+        # a 4-frame budget puts L=11 in three blocks, the last one partial
+        C = 3
+        monkeypatch.setattr(ad, "_DEPTHWISE_BLOCK_BYTES", 4 * C * 8)
+        rng = np.random.default_rng(L * 10 + K)
+        store = ad.ParamStore()
+        store.add("x", rng.normal(size=(L, C)))
+        store.add("w", rng.normal(size=(C, K)))
+
+        def f(p):
+            y = ad.depthwise_conv1d(p["x"], p["w"])
+            return ad.sum_all(ad.mul(y, y))
+
+        assert ad.gradient_check(f, store, h=1e-5) < 1e-6
 
 
 class TestLayerNorm:
@@ -276,7 +323,7 @@ class TestAdjointness:
                 lambda t: ad.depthwise_conv1d(
                     t, ad.Tensor(np.random.default_rng(13).normal(size=(3, 5)))
                 ),
-                (3, 11),
+                (11, 3),
             ),
             ("matmul_left", lambda t: ad.matmul(
                 t, ad.Tensor(np.random.default_rng(14).normal(size=(4, 6)))
@@ -418,7 +465,7 @@ class TestGradientCheck:
         def f(p):
             y = ad.layer_norm(p["x"], p["gain"], p["bias"])
             y = ad.silu(ad.linear(y, p["w"], p["b2"]))
-            y = ad.depthwise_conv1d(ad.transpose(y), p["dw"])
+            y = ad.depthwise_conv1d(y, p["dw"])
             # leaky bypass keeps every tap alive; a fully gated-off channel
             # has gradient exactly 0 and the relative error floor then
             # amplifies finite-difference noise

@@ -1,5 +1,8 @@
 """Checkpoint format round-trip and error handling."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from monosep import model as model_mod
 from monosep import synth, train
 from monosep.checkpoint import (Checkpoint, load_checkpoint, restore_model,
                                 save_checkpoint)
-from monosep.errors import CheckpointError
+from monosep.errors import CheckpointError, ConfigError
 
 
 def trained_checkpoint(seed=0, **ablation):
@@ -152,6 +155,25 @@ class TestErrors:
                 load_checkpoint(path)
             except CheckpointError:
                 pass
+
+    def test_invalid_config_rejected_on_load(self, tmp_path):
+        raw = self.make_file(tmp_path).read_bytes()
+        header_end = 16 + int.from_bytes(raw[8:16], "little")
+        header = json.loads(raw[16:header_end])
+        header["config"]["attention_mode"] = "softmax"
+        blob = json.dumps(header).encode("utf-8")
+        path = tmp_path / "softmax.ckpt"
+        path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob
+                         + raw[header_end:])
+        with pytest.raises(CheckpointError, match="softmax"):
+            load_checkpoint(path)
+
+    def test_invalid_config_rejected_on_save(self, tmp_path):
+        cfg = dataclasses.replace(cfg_mod.preset("tiny"), attention_mode="softmax")
+        ckpt = Checkpoint(config=cfg, params={"a": np.zeros(3)})
+        with pytest.raises(ConfigError, match="softmax"):
+            save_checkpoint(ckpt, tmp_path / "bad.ckpt")
+        assert list(tmp_path.iterdir()) == []
 
     def test_mismatched_moments(self, tmp_path):
         ckpt = Checkpoint(
