@@ -10,6 +10,7 @@ matrix is ever formed. The joint output is the elementwise sum of the two.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -23,20 +24,15 @@ from .errors import ConfigError
 if TYPE_CHECKING:  # config imports this module for _MODES
     from .config import ModelConfig
 
-_rope_cache: dict = {}
 
-
+@functools.lru_cache(maxsize=1)  # one (S, D, dtype) regime stays resident
 def _rope_tables(n_pos: int, dim: int, base: float, dtype) -> tuple:
-    key = (n_pos, dim, float(base), np.dtype(dtype).str)
-    hit = _rope_cache.get(key)
-    if hit is not None:
-        return hit
     half = dim // 2
     theta = float(base) ** (-2.0 * np.arange(half) / dim)
     angles = np.arange(n_pos)[:, None] * theta[None, :]
     tables = (np.cos(angles).astype(dtype), np.sin(angles).astype(dtype))
-    _rope_cache.clear()  # keep at most one (S, D) regime resident
-    _rope_cache[key] = tables
+    for table in tables:
+        table.flags.writeable = False  # shared by every caller
     return tables
 
 

@@ -15,14 +15,15 @@ some input requires grad, marks the output and appends it to the tape.
 Code outside this module registers fused primitives through ``make_op``.
 
 Shape conventions follow the rest of the package: sequences are (frames,
-features), and so is the depthwise convolution, which runs over frames with
-no transpose around it. The codec's ``conv1d`` and ``transposed_conv1d``
-are (channels, length). Element precision is whatever dtype the arrays
-carry; tests use float64, training may use float32.
+features), and every convolution (``conv1d``, ``transposed_conv1d``,
+``depthwise_conv1d``) runs over frames with no transpose around it. Element
+precision is whatever dtype the arrays carry; tests use float64, training
+may use float32.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -30,7 +31,9 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericalError
 
-_active_tape: "Tape | None" = None
+# per thread: one thread's forward never records into another thread's tape
+_active_tape: contextvars.ContextVar["Tape | None"] = contextvars.ContextVar(
+    "monosep_active_tape", default=None)
 
 
 class Tensor:
@@ -99,23 +102,21 @@ class Tensor:
 class Tape:
     """Ordered record of executed primitives for one forward pass.
 
-    Use as a context manager; a tape is rebuilt per forward pass and is
-    confined to one thread of execution.
+    Use as a context manager; a tape is rebuilt per forward pass and records
+    only the primitives run by the thread that entered it. Leaving a nested
+    tape makes the enclosing one active again.
     """
 
     def __init__(self):
         self._nodes: list[Tensor] = []
-        self._prev: Tape | None = None
+        self._token: contextvars.Token | None = None
 
     def __enter__(self) -> "Tape":
-        global _active_tape
-        self._prev = _active_tape
-        _active_tape = self
+        self._token = _active_tape.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        global _active_tape
-        _active_tape = self._prev
+        _active_tape.reset(self._token)
         return False
 
     def __len__(self) -> int:
@@ -163,10 +164,11 @@ def _op(data, inputs: Iterable[Tensor],
     """Wrap a primitive's forward array; record it on the active tape when
     any input requires grad. The only code that appends tape nodes."""
     out = Tensor(data)
-    if _active_tape is not None and any(t.requires_grad for t in inputs):
+    tape = _active_tape.get()
+    if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._backward = backward
-        _active_tape._nodes.append(out)
+        tape._nodes.append(out)
     return out
 
 
@@ -472,19 +474,45 @@ def dropout(a, p: float, rng: np.random.Generator | None, train: bool) -> Tensor
 # ---------------------------------------------------------------------------
 
 
-def conv1d(x, weight, bias, stride: int) -> Tensor:
-    """Strided 1-D convolution. x (Cin, L), weight (Cout, Cin, K), bias (Cout,).
+def _frame_contract(x: np.ndarray, w: np.ndarray,
+                    stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """out[t, o] = sum_{i,k} w[o, i, k] * x[t*stride + k, i]; x (L, I),
+    w (O, I, K). Returns out (n, O), n = (L - K) // stride + 1, and the
+    (n, I, K) window view that weight gradients contract against."""
+    n_out, n_in, K = w.shape
+    win = np.lib.stride_tricks.sliding_window_view(x, K, axis=0)[::stride]
+    cols = np.ascontiguousarray(win).reshape(len(win), n_in * K)
+    return cols @ w.reshape(n_out, n_in * K).T, win
 
-    out[c, t] = bias[c] + sum_{i,k} weight[c, i, k] * x[i, t*stride + k]
+
+def _contract_overlap_add(y: np.ndarray, w: np.ndarray, stride: int,
+                          length: int) -> np.ndarray:
+    """out[t*stride + k, o] += sum_i y[t, i] * w[i, o, k], the adjoint of
+    _frame_contract in x; y (n, I), w (I, O, K) -> out (length, O)."""
+    n, n_in = y.shape
+    _, n_out, K = w.shape
+    spread = (y @ w.reshape(n_in, n_out * K)).reshape(n, n_out, K)
+    out = np.zeros((length, n_out), dtype=spread.dtype)
+    span = stride * (n - 1) + 1
+    for k in range(K):
+        out[k : k + span : stride] += spread[:, :, k]
+    return out
+
+
+def conv1d(x, weight, bias, stride: int) -> Tensor:
+    """Strided 1-D convolution over frames. x (L, Cin), weight (Cout, Cin, K),
+    bias (Cout,) -> (Lout, Cout).
+
+    out[t, c] = bias[c] + sum_{i,k} weight[c, i, k] * x[t*stride + k, i]
     Lout = (L - K) // stride + 1.
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     if x.data.ndim != 2 or weight.data.ndim != 3:
         raise DimensionError(
-            f"conv1d expects x (Cin, L) and weight (Cout, Cin, K); "
+            "conv1d expects x (L, Cin) and weight (Cout, Cin, K); "
             f"got {x.data.shape} and {weight.data.shape}"
         )
-    cin, L = x.data.shape
+    L, cin = x.data.shape
     cout, w_cin, K = weight.data.shape
     if w_cin != cin:
         raise DimensionError(
@@ -499,41 +527,34 @@ def conv1d(x, weight, bias, stride: int) -> Tensor:
     if stride < 1:
         raise ConfigError(f"conv1d stride must be >= 1, got {stride}")
 
-    lout = (L - K) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(x.data, K, axis=1)[:, ::stride]
-    win = win[:, :lout]  # (Cin, Lout, K)
-    out_data = np.einsum("oik,ilk->ol", weight.data, win, optimize=True)
-    out_data += bias.data[:, None]
+    out_data, win = _frame_contract(x.data, weight.data, stride)
+    out_data += bias.data
 
     def backward(g):
         if bias.requires_grad:
-            _accum(bias, g.sum(axis=1))
+            _accum(bias, g.sum(axis=0))
         if weight.requires_grad:
-            _accum(weight, np.einsum("ol,ilk->oik", g, win, optimize=True))
+            _accum(weight, np.tensordot(g, win, axes=(0, 0)))
         if x.requires_grad:
-            spread = np.einsum("ol,oik->ilk", g, weight.data, optimize=True)
-            gx = np.zeros_like(x.data)
-            span = stride * (lout - 1) + 1
-            for k in range(K):
-                gx[:, k : k + span : stride] += spread[:, :, k]
-            _accum(x, gx)
+            _accum(x, _contract_overlap_add(g, weight.data, stride, L))
 
     return _op(out_data, (x, weight, bias), backward)
 
 
 def transposed_conv1d(x, weight, stride: int) -> Tensor:
-    """Adjoint of conv1d. x (Cin, L), weight (Cin, Cout, K) -> (Cout, Lout).
+    """Adjoint of conv1d over frames. x (L, Cin), weight (Cin, Cout, K)
+    -> (Lout, Cout).
 
-    Lout = (L - 1) * stride + K; out[o, t*stride + k] += x[i, t] * weight[i, o, k].
+    Lout = (L - 1) * stride + K; out[t*stride + k, o] += x[t, i] * weight[i, o, k].
     """
     x, weight = as_tensor(x), as_tensor(weight)
     if x.data.ndim != 2 or weight.data.ndim != 3:
         raise DimensionError(
-            f"transposed_conv1d expects x (Cin, L) and weight (Cin, Cout, K); "
+            "transposed_conv1d expects x (L, Cin) and weight (Cin, Cout, K); "
             f"got {x.data.shape} and {weight.data.shape}"
         )
-    cin, L = x.data.shape
-    w_cin, cout, K = weight.data.shape
+    L, cin = x.data.shape
+    w_cin, _, K = weight.data.shape
     if w_cin != cin:
         raise DimensionError(
             f"transposed_conv1d channel axes disagree: x has Cin={cin}, "
@@ -543,19 +564,14 @@ def transposed_conv1d(x, weight, stride: int) -> Tensor:
         raise ConfigError(f"transposed_conv1d stride must be >= 1, got {stride}")
 
     lout = (L - 1) * stride + K
-    spread = np.einsum("il,iok->olk", x.data, weight.data, optimize=True)
-    out_data = np.zeros((cout, lout), dtype=x.data.dtype)
-    span = stride * (L - 1) + 1
-    for k in range(K):
-        out_data[:, k : k + span : stride] += spread[:, :, k]
+    out_data = _contract_overlap_add(x.data, weight.data, stride, lout)
 
     def backward(g):
-        win = np.lib.stride_tricks.sliding_window_view(g, K, axis=1)[:, ::stride]
-        win = win[:, :L]  # (Cout, L, K)
+        gx, win = _frame_contract(g, weight.data, stride)
         if x.requires_grad:
-            _accum(x, np.einsum("iok,olk->il", weight.data, win, optimize=True))
+            _accum(x, gx)
         if weight.requires_grad:
-            _accum(weight, np.einsum("il,olk->iok", x.data, win, optimize=True))
+            _accum(weight, np.tensordot(x.data, win, axes=(0, 0)))
 
     return _op(out_data, (x, weight), backward)
 
@@ -763,9 +779,6 @@ class ParamStore:
             if t.grad is not None:
                 total += float(np.dot(t.grad.ravel(), t.grad.ravel()))
         return math.sqrt(total)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {n: t.data for n, t in self._entries.items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         missing = set(self._entries) - set(arrays)

@@ -1,7 +1,7 @@
 """Waveform codec: convolutional encoder, mask application, decoder.
 
 The encoder turns a length-T waveform into a non-negative feature sequence
-of shape (N, S) with S = (T - K)/(K/2) + 1 frames (kernel K, stride K/2).
+of shape (S, N) with S = (T - K)/(K/2) + 1 frames (kernel K, stride K/2).
 The decoder inverts the framing with a transposed convolution using the
 same kernel and stride; the caller trims the result back to T.
 """
@@ -60,7 +60,7 @@ def num_frames(n_samples: int, kernel: int) -> int:
 
 
 def encode(wave, params: CodecParams, kernel: int) -> ad.Tensor:
-    """Waveform (T,) -> non-negative features (N, S)."""
+    """Waveform (T,) -> non-negative features (S, N)."""
     wave = ad.as_tensor(wave)
     if wave.ndim != 1:
         raise ConfigError(f"encode expects a 1-D waveform, got shape {wave.shape}")
@@ -70,31 +70,31 @@ def encode(wave, params: CodecParams, kernel: int) -> ad.Tensor:
         raise InputTooShortError(
             f"waveform has {n_samples} samples, encoder kernel needs {kernel}"
         )
-    x = ad.reshape(wave, (1, n_samples))
-    x = ad.pad_axis_end(x, 1, pad_amount(n_samples, kernel))
+    x = ad.reshape(wave, (n_samples, 1))
+    x = ad.pad_axis_end(x, 0, pad_amount(n_samples, kernel))
     return ad.relu(ad.conv1d(x, params.enc_weight, params.enc_bias, stride))
 
 
 def apply_mask(features: ad.Tensor, masks: ad.Tensor, speaker: int) -> ad.Tensor:
-    """Select mask ``speaker`` from (C, N, S) and gate the features with it."""
-    n_speakers = masks.shape[0]
+    """Select mask ``speaker`` from (S, C, N) and gate the features with it."""
+    n_frames, n_speakers, n_feat = masks.shape
     if not 0 <= speaker < n_speakers:
         raise IndexError(f"speaker {speaker} out of range for {n_speakers} masks")
-    if masks.shape[1:] != features.shape:
+    if (n_frames, n_feat) != features.shape:
         raise ConfigError(
-            f"mask shape {masks.shape[1:]} does not match features {features.shape}"
+            f"mask shape {masks.shape} does not match features {features.shape}"
         )
-    one = ad.narrow(masks, 0, speaker, 1)
+    one = ad.narrow(masks, 1, speaker, 1)
     return ad.mul(ad.reshape(one, features.shape), features)
 
 
 def decode(
     features, params: CodecParams, kernel: int, trim_to: int | None = None
 ) -> ad.Tensor:
-    """Features (N, S) -> waveform ((S-1)*K/2 + K,), optionally trimmed."""
+    """Features (S, N) -> waveform ((S-1)*K/2 + K,), optionally trimmed."""
     stride = _check_kernel(kernel)
     wave = ad.transposed_conv1d(features, params.dec_weight, stride)
-    wave = ad.reshape(wave, (wave.shape[1],))
+    wave = ad.reshape(wave, (wave.shape[0],))
     if trim_to is not None:
         if trim_to > wave.shape[0]:
             raise ConfigError(

@@ -28,10 +28,6 @@ class ModelConfig:
     dense_uv: bool = False
     dense_qk: bool = False
 
-    @property
-    def enc_stride(self) -> int:
-        return self.enc_kernel // 2
-
     def validate(self) -> "ModelConfig":
         if self.enc_kernel % 2 != 0:
             raise ConfigError(f"enc_kernel must be even, got {self.enc_kernel}")

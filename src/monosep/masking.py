@@ -84,7 +84,7 @@ def masking_net_forward(
     features, p: MaskingNetParams, train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> ad.Tensor:
-    """Encoded features (N, S) -> non-negative masks (C, N, S).
+    """Encoded features (S, N) -> non-negative masks (S, C, N).
 
     The speaker axis of the mask head splits channel c*N+n as (speaker c,
     feature n); the decode path relies on this order.
@@ -92,12 +92,12 @@ def masking_net_forward(
     features = ad.as_tensor(features)
     if features.ndim != 2:
         raise ConfigError(
-            f"masking net expects features (N, S), got shape {features.shape}"
+            f"masking net expects features (S, N), got shape {features.shape}"
         )
-    n_feat, n_frames = features.shape
-    x = ad.transpose(features)  # (S, N), frames major like the blocks
+    n_frames, n_feat = features.shape
     pe = positional_encoding(n_frames, n_feat).astype(features.dtype)
-    x = ad.add(ad.layer_norm(x, p.norm_gain, p.norm_bias), ad.constant(pe))
+    x = ad.add(ad.layer_norm(features, p.norm_gain, p.norm_bias),
+               ad.constant(pe))
     x = ad.linear(x, p.in_weight, p.in_bias)
     for bp in p.blocks:
         x = block_forward(x, bp, train, rng)
@@ -108,5 +108,4 @@ def masking_net_forward(
         ad.sigmoid(ad.linear(x, p.glu_gate_weight, p.glu_gate_bias)),
     )
     x = ad.relu(ad.linear(x, p.out_weight, p.out_bias))
-    masks = ad.reshape(x, (n_frames, p.n_speakers, n_feat))
-    return ad.permute(masks, (1, 2, 0))  # (C, N, S)
+    return ad.reshape(x, (n_frames, p.n_speakers, n_feat))

@@ -36,7 +36,7 @@ def count_parameters(cfg: ModelConfig, seed: int = 0) -> int:
 
 
 def encode_features(model: SeparationModel, mixture) -> ad.Tensor:
-    """Mixture waveform (T,) -> non-negative feature map (N, S)."""
+    """Mixture waveform (T,) -> non-negative feature map (S, N)."""
     mixture = ad.as_tensor(mixture)
     if mixture.dtype != model.store.dtype and not mixture.requires_grad:
         # keep single-precision models single precision end to end
@@ -48,7 +48,7 @@ def compute_masks(
     model: SeparationModel, features, train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> ad.Tensor:
-    """Feature map (N, S) -> per-speaker masks (C, N, S)."""
+    """Feature map (S, N) -> per-speaker masks (S, C, N)."""
     return masking_net_forward(features, model.net, train, rng)
 
 

@@ -137,15 +137,19 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     store = model.store
 
-    best = Checkpoint(
-        config=model.config,
-        params={n: t.data.copy() for n, t in store.items()},
-        adam_m={n: a.copy() for n, a in opt.m.items()},
-        adam_v={n: a.copy() for n, a in opt.v.items()},
-        adam_step=0,
-        rng_state=rng.bit_generator.state,
-        epoch=0,
-    )
+    def snapshot(epoch: int, best_val: float = float("inf")) -> Checkpoint:
+        return Checkpoint(
+            config=model.config,
+            params={n: t.data.copy() for n, t in store.items()},
+            adam_m={n: a.copy() for n, a in opt.m.items()},
+            adam_v={n: a.copy() for n, a in opt.v.items()},
+            adam_step=opt.step_count,
+            rng_state=rng.bit_generator.state,
+            epoch=epoch,
+            best_val=best_val,
+        )
+
+    best = snapshot(epoch=0)
 
     batches = [
         train_items[i:i + cfg.batch_size]
@@ -196,16 +200,7 @@ def train(
             log(f"epoch={epoch} lr={lr_now:.6g} train_loss={train_loss:.4f} "
                 f"val_loss={val_loss:.4f}")
         if val_loss < best.best_val:
-            best = Checkpoint(
-                config=model.config,
-                params={n: t.data.copy() for n, t in store.items()},
-                adam_m={n: a.copy() for n, a in opt.m.items()},
-                adam_v={n: a.copy() for n, a in opt.v.items()},
-                adam_step=opt.step_count,
-                rng_state=rng.bit_generator.state,
-                epoch=epoch,
-                best_val=val_loss,
-            )
+            best = snapshot(epoch, val_loss)
         if cfg.max_steps and steps_done >= cfg.max_steps:
             break
     return best

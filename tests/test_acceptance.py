@@ -140,8 +140,8 @@ class TestAcceptance:
                        cfg.enc_kernel, trim_to=n_samples)
                 for spk in range(cfg.n_speakers)
             ]
-            ok &= features.shape == (cfg.n_feat, frames)
-            ok &= masks.shape == (cfg.n_speakers, cfg.n_feat, frames)
+            ok &= features.shape == (frames, cfg.n_feat)
+            ok &= masks.shape == (frames, cfg.n_speakers, cfg.n_feat)
             ok &= all(e.shape == (n_samples,) for e in ests)
             details.append(f"{name}:S={frames}")
         elapsed = time.time() - start

@@ -1,10 +1,14 @@
 """Tests for the autodiff core: primitives, adjointness, gradient checking."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from monosep import autodiff as ad
+from monosep.config import preset
 from monosep.errors import ConfigError, DimensionError
+from monosep.model import build_model, separate
 
 
 def backprop_scalar(build):
@@ -39,9 +43,9 @@ PRIMITIVES = {
     "dropout": (lambda a: ad.dropout(a, 0.5, np.random.default_rng(0), True),
                 [(3,)]),
     "conv1d": (lambda x, w, b: ad.conv1d(x, w, b, stride=2),
-               [(2, 9), (3, 2, 3), (3,)]),
+               [(9, 2), (3, 2, 3), (3,)]),
     "transposed_conv1d": (lambda x, w: ad.transposed_conv1d(x, w, stride=2),
-                          [(2, 5), (2, 3, 4)]),
+                          [(5, 2), (2, 3, 4)]),
     "depthwise_conv1d": (ad.depthwise_conv1d, [(9, 2), (2, 3)]),
     "layer_norm": (ad.layer_norm, [(4, 3), (3,), (3,)]),
     "make_op": (lambda a: ad.make_op(
@@ -49,40 +53,63 @@ PRIMITIVES = {
 }
 
 
+def reference_conv1d(x, w, stride):
+    """Naive frames-major convolution: contract w with one input frame at a time."""
+    K = w.shape[2]
+    lout = (len(x) - K) // stride + 1
+    return np.stack([np.einsum("oik,ki->o", w, x[t * stride : t * stride + K])
+                     for t in range(lout)])
+
+
+def reference_transposed_conv1d(x, w, stride):
+    """Naive frames-major transposed convolution: scatter one frame at a time."""
+    K = w.shape[2]
+    out = np.zeros(((len(x) - 1) * stride + K, w.shape[1]))
+    for t in range(len(x)):
+        out[t * stride : t * stride + K] += np.einsum("i,iok->ko", x[t], w)
+    return out
+
+
 class TestConv1d:
     def test_hand_sum(self):
-        x = ad.Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]))
+        x = ad.Tensor(np.array([[1.0], [2.0], [3.0], [4.0]]))
         w = ad.Tensor(np.array([[[1.0, 1.0]]]))
         b = ad.Tensor(np.zeros(1))
         out = ad.conv1d(x, w, b, stride=2)
-        np.testing.assert_array_equal(out.data, [[3.0, 7.0]])
+        np.testing.assert_array_equal(out.data, [[3.0], [7.0]])
 
     def test_zero_input_passes_bias(self):
         rng = np.random.default_rng(0)
-        x = ad.Tensor(np.zeros((1, 8)))
+        x = ad.Tensor(np.zeros((8, 1)))
         w = ad.Tensor(rng.normal(size=(1, 1, 4)))
         b = ad.Tensor(np.array([5.0]))
         out = ad.conv1d(x, w, b, stride=4)
-        np.testing.assert_array_equal(out.data, [[5.0, 5.0]])
+        np.testing.assert_array_equal(out.data, [[5.0], [5.0]])
 
     def test_output_length_formula(self):
         rng = np.random.default_rng(1)
-        x = ad.Tensor(rng.normal(size=(1, 16)))
-        w = ad.Tensor(rng.normal(size=(3, 1, 8)))
-        b = ad.Tensor(np.zeros(3))
+        x = ad.Tensor(rng.normal(size=(16, 1)))
+        w = ad.Tensor(rng.normal(size=(2, 1, 8)))
+        b = ad.Tensor(np.zeros(2))
         out = ad.conv1d(x, w, b, stride=4)
-        assert out.shape == (3, 3)  # floor((16 - 8) / 4) + 1
+        assert out.shape == (3, 2)  # floor((16 - 8) / 4) + 1 frames, Cout=2
 
     def test_channel_mismatch_names_axes(self):
-        x = ad.Tensor(np.zeros((3, 10)))
+        x = ad.Tensor(np.zeros((10, 3)))
         w = ad.Tensor(np.zeros((2, 4, 3)))
         with pytest.raises(DimensionError, match="Cin=3.*Cin=4"):
             ad.conv1d(x, w, ad.Tensor(np.zeros(2)), stride=1)
 
+    def test_channels_major_input_rejected(self):
+        x = ad.Tensor(np.zeros((4, 40)))  # (Cin, L) instead of (L, Cin)
+        with pytest.raises(DimensionError, match="Cin=40.*Cin=4"):
+            ad.conv1d(x, ad.Tensor(np.zeros((3, 4, 2))), ad.Tensor(np.zeros(3)),
+                      stride=1)
+
     def test_input_shorter_than_kernel(self):
         with pytest.raises(DimensionError, match="shorter than kernel"):
             ad.conv1d(
-                ad.Tensor(np.zeros((1, 3))),
+                ad.Tensor(np.zeros((3, 1))),
                 ad.Tensor(np.zeros((1, 1, 5))),
                 ad.Tensor(np.zeros(1)),
                 stride=1,
@@ -94,23 +121,28 @@ class TestTransposedConv1d:
         x = ad.Tensor(np.array([[1.0]]))
         w = ad.Tensor(np.array([[[1.0, 2.0, 3.0]]]))
         out = ad.transposed_conv1d(x, w, stride=2)
-        np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0]])
+        np.testing.assert_array_equal(out.data, [[1.0], [2.0], [3.0]])
 
     def test_stride_interleave(self):
-        x = ad.Tensor(np.array([[1.0, 1.0]]))
+        x = ad.Tensor(np.array([[1.0], [1.0]]))
         w = ad.Tensor(np.array([[[1.0, 0.0]]]))
         out = ad.transposed_conv1d(x, w, stride=2)
-        np.testing.assert_array_equal(out.data, [[1.0, 0.0, 1.0, 0.0]])
+        np.testing.assert_array_equal(out.data, [[1.0], [0.0], [1.0], [0.0]])
+
+    def test_channels_major_input_rejected(self):
+        x = ad.Tensor(np.zeros((4, 40)))  # (Cin, L) instead of (L, Cin)
+        with pytest.raises(DimensionError, match="Cin=40.*Cin=4"):
+            ad.transposed_conv1d(x, ad.Tensor(np.zeros((4, 3, 2))), stride=1)
 
     @pytest.mark.parametrize("stride,k", [(1, 3), (2, 4), (4, 8)])
     def test_adjoint_identity(self, stride, k):
         # <conv1d(x, w), y> must equal <x, transposed_conv1d(y, w)>
         rng = np.random.default_rng(7)
         cin, cout, L = 3, 2, 17
-        x = rng.normal(size=(cin, L))
+        x = rng.normal(size=(L, cin))
         w = rng.normal(size=(cout, cin, k))
         lout = (L - k) // stride + 1
-        y = rng.normal(size=(cout, lout))
+        y = rng.normal(size=(lout, cout))
         fwd = ad.conv1d(
             ad.Tensor(x), ad.Tensor(w), ad.Tensor(np.zeros(cout)), stride
         ).data
@@ -118,7 +150,7 @@ class TestTransposedConv1d:
         # samples past the last window never enter the forward output, so the
         # adjoint image is zero there; extend it to L to take the inner product
         padded = np.zeros_like(x)
-        padded[:, : adj.shape[1]] = adj
+        padded[: adj.shape[0]] = adj
         lhs = float(np.sum(fwd * y))
         rhs = float(np.sum(x * padded))
         assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(lhs))
@@ -126,9 +158,9 @@ class TestTransposedConv1d:
     def test_forward_equals_conv_backward_data(self):
         # transposed conv forward is the backward-data pass of conv1d
         rng = np.random.default_rng(8)
-        x = ad.Tensor(rng.normal(size=(2, 9)), requires_grad=True)
+        x = ad.Tensor(rng.normal(size=(9, 2)), requires_grad=True)
         w = ad.Tensor(rng.normal(size=(4, 2, 3)))
-        g = rng.normal(size=(4, 4))  # lout for stride 2
+        g = rng.normal(size=(4, 4))  # (lout for stride 2, Cout)
 
         with ad.Tape() as tape:
             out = ad.conv1d(x, w, ad.Tensor(np.zeros(4)), stride=2)
@@ -136,6 +168,46 @@ class TestTransposedConv1d:
             tape.backward(loss)
         via_transposed = ad.transposed_conv1d(ad.Tensor(g), ad.Tensor(w.data), 2)
         np.testing.assert_allclose(x.grad, via_transposed.data, atol=1e-12)
+
+    @pytest.mark.parametrize("K", [1, 3, 8], ids=lambda k: f"K{k}")
+    @pytest.mark.parametrize("stride", [1, 2, 4], ids=lambda s: f"stride{s}")
+    def test_kernels_match_per_frame_reference(self, stride, K):
+        # values and all gradients of both kernels; L=21 leaves trailing
+        # samples outside the last window for some (stride, K)
+        rng = np.random.default_rng(10 * stride + K)
+        L, cin, cout = 21, 3, 2
+        x = ad.Tensor(rng.normal(size=(L, cin)), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=(cout, cin, K)), requires_grad=True)
+        b = ad.Tensor(rng.normal(size=cout))
+        lout = (L - K) // stride + 1
+        g = rng.normal(size=(lout, cout))
+        with ad.Tape() as tape:
+            out = ad.conv1d(x, w, b, stride)
+            tape.backward(ad.sum_all(ad.mul(out, ad.Tensor(g))))
+        tol = dict(rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            out.data, reference_conv1d(x.data, w.data, stride) + b.data, **tol)
+        gx = np.zeros((L, cin))
+        scattered = reference_transposed_conv1d(g, w.data, stride)
+        gx[: len(scattered)] = scattered
+        np.testing.assert_allclose(x.grad, gx, **tol)
+        gw = sum(np.einsum("o,ki->oik", g[t], x.data[t * stride : t * stride + K])
+                 for t in range(lout))
+        np.testing.assert_allclose(w.grad, gw, **tol)
+
+        y = ad.Tensor(rng.normal(size=(L, cout)), requires_grad=True)
+        wt = ad.Tensor(rng.normal(size=(cout, cin, K)), requires_grad=True)
+        gt = rng.normal(size=((L - 1) * stride + K, cin))
+        with ad.Tape() as tape:
+            out = ad.transposed_conv1d(y, wt, stride)
+            tape.backward(ad.sum_all(ad.mul(out, ad.Tensor(gt))))
+        np.testing.assert_allclose(
+            out.data, reference_transposed_conv1d(y.data, wt.data, stride), **tol)
+        np.testing.assert_allclose(
+            y.grad, reference_conv1d(gt, wt.data, stride), **tol)
+        gwt = sum(np.einsum("i,ko->iok", y.data[t], gt[t * stride : t * stride + K])
+                  for t in range(L))
+        np.testing.assert_allclose(wt.grad, gwt, **tol)
 
 
 def reference_depthwise(x, w):
@@ -307,7 +379,7 @@ class TestAdjointness:
                     ad.Tensor(np.zeros(3)),
                     stride=2,
                 ),
-                (2, 15),
+                (15, 2),
             ),
             (
                 "transposed_conv1d",
@@ -316,7 +388,7 @@ class TestAdjointness:
                     ad.Tensor(np.random.default_rng(12).normal(size=(2, 3, 5))),
                     stride=3,
                 ),
-                (2, 6),
+                (6, 2),
             ),
             (
                 "depthwise_conv1d",
@@ -389,13 +461,33 @@ class TestTapeMechanics:
     def test_determinism(self):
         def run():
             rng = np.random.default_rng(42)
-            x = ad.Tensor(rng.normal(size=(4, 8)))
+            x = ad.Tensor(rng.normal(size=(8, 4)))
             w = ad.Tensor(rng.normal(size=(3, 4, 2)))
             out = ad.conv1d(x, w, ad.Tensor(np.zeros(3)), stride=2)
             return ad.silu(out).data
 
         a, b = run(), run()
         assert np.array_equal(a, b)
+
+    def test_tape_is_confined_to_its_thread(self):
+        # parameters require grad, so inference on another thread would
+        # record into this thread's tape if the active tape were shared
+        m = build_model(preset("tiny", dropout_p=0.0), seed=0)
+        mixture = np.random.default_rng(1).normal(size=400)
+        results = []
+        x = ad.Tensor(np.ones(3), requires_grad=True)
+        with ad.Tape() as outer:
+            worker = threading.Thread(
+                target=lambda: results.append(separate(m, mixture)))
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive() and len(results) == 1
+            assert len(outer) == 0
+            with ad.Tape() as inner:
+                ad.mul(x, x)
+            ad.mul(x, x)  # the outer tape is active again
+        assert len(inner) == 1 and len(outer) == 1
+        assert not ad.mul(x, x).requires_grad  # and no tape after the outer
 
     def test_backward_requires_scalar(self):
         x = ad.Tensor(np.ones(3), requires_grad=True)
@@ -443,7 +535,7 @@ class TestGradientCheck:
     def test_conv_sum(self):
         rng = np.random.default_rng(10)
         store = ad.ParamStore()
-        store.add("x", rng.normal(size=(2, 10)))
+        store.add("x", rng.normal(size=(10, 2)))
         store.add("w", rng.normal(size=(3, 2, 3)))
         store.add("b", rng.normal(size=3))
 

@@ -20,7 +20,7 @@ class TestEncode:
         assert codec.num_frames(t, k) == expected
         params, _ = make_params(n_feat=3, kernel=k)
         out = codec.encode(np.zeros(t), params, k)
-        assert out.shape == (3, expected)
+        assert out.shape == (expected, 3)
 
     def test_zero_input_negative_bias_clamps(self):
         params, _ = make_params()
@@ -53,29 +53,29 @@ class TestEncode:
 class TestApplyMask:
     def setup_method(self):
         rng = np.random.default_rng(2)
-        self.feats = ad.Tensor(rng.uniform(0, 1, size=(4, 6)))
+        self.feats = ad.Tensor(rng.uniform(0, 1, size=(6, 4)))
         self.rng = rng
 
     def test_identity_mask(self):
-        masks = ad.Tensor(np.ones((2, 4, 6)))
+        masks = ad.Tensor(np.ones((6, 2, 4)))
         out = codec.apply_mask(self.feats, masks, 0)
         np.testing.assert_array_equal(out.data, self.feats.data)
 
     def test_zero_mask(self):
-        masks = ad.Tensor(np.zeros((2, 4, 6)))
+        masks = ad.Tensor(np.zeros((6, 2, 4)))
         out = codec.apply_mask(self.feats, masks, 1)
-        np.testing.assert_array_equal(out.data, np.zeros((4, 6)))
+        np.testing.assert_array_equal(out.data, np.zeros((6, 4)))
 
     def test_masks_partitioning_unity(self):
-        a = self.rng.uniform(0, 1, size=(4, 6))
-        masks = ad.Tensor(np.stack([a, 1.0 - a]))
+        a = self.rng.uniform(0, 1, size=(6, 4))
+        masks = ad.Tensor(np.stack([a, 1.0 - a], axis=1))
         total = sum(
             codec.apply_mask(self.feats, masks, i).data for i in range(2)
         )
         np.testing.assert_allclose(total, self.feats.data, atol=1e-15)
 
     def test_speaker_out_of_range(self):
-        masks = ad.Tensor(np.ones((2, 4, 6)))
+        masks = ad.Tensor(np.ones((6, 2, 4)))
         with pytest.raises(IndexError, match="speaker 2"):
             codec.apply_mask(self.feats, masks, 2)
 
@@ -83,12 +83,12 @@ class TestApplyMask:
 class TestDecode:
     def test_length_formula(self):
         params, _ = make_params()
-        out = codec.decode(np.zeros((4, 3)), params, 8)
+        out = codec.decode(np.zeros((3, 4)), params, 8)
         assert out.shape == (16,)  # (3-1)*4 + 8
 
     def test_zeros_decode_to_zeros(self):
         params, _ = make_params()
-        out = codec.decode(np.zeros((4, 5)), params, 8)
+        out = codec.decode(np.zeros((5, 4)), params, 8)
         np.testing.assert_array_equal(out.data, np.zeros(24))
 
     @pytest.mark.parametrize("t,k", [(16000, 8), (16000, 16), (1234, 8)])
@@ -103,7 +103,7 @@ class TestDecode:
     def test_trim_longer_than_output(self):
         params, _ = make_params()
         with pytest.raises(ConfigError, match="trim"):
-            codec.decode(np.zeros((4, 3)), params, 8, trim_to=99)
+            codec.decode(np.zeros((3, 4)), params, 8, trim_to=99)
 
     def test_positive_orthant_linearity(self):
         # positive weights, zero bias, positive input: the encoder ReLU never

@@ -38,18 +38,18 @@ class TestMaskingNet:
     def test_mask_shape_and_sign(self):
         m = tiny_model()
         rng = np.random.default_rng(1)
-        feats = ad.Tensor(rng.uniform(0, 1, size=(16, 20)))
+        feats = ad.Tensor(rng.uniform(0, 1, size=(20, 16)))
         masks = masking.masking_net_forward(feats, m.net)
-        assert masks.shape == (2, 16, 20)
+        assert masks.shape == (20, 2, 16)
         assert masks.data.min() >= 0.0
 
     def test_zero_output_head_gives_zero_masks(self):
         m = tiny_model()
         m.net.out_weight.data[:] = 0.0
         m.net.out_bias.data[:] = 0.0
-        feats = ad.Tensor(np.random.default_rng(2).uniform(0, 1, size=(16, 9)))
+        feats = ad.Tensor(np.random.default_rng(2).uniform(0, 1, size=(9, 16)))
         masks = masking.masking_net_forward(feats, m.net)
-        np.testing.assert_array_equal(masks.data, np.zeros((2, 16, 9)))
+        np.testing.assert_array_equal(masks.data, np.zeros((9, 2, 16)))
 
     def test_speaker_major_reshape(self):
         # bias the output head so speaker 0 rows get +1 and speaker 1 rows +3;
@@ -58,21 +58,21 @@ class TestMaskingNet:
         m.net.out_weight.data[:] = 0.0
         m.net.out_bias.data[:16] = 1.0
         m.net.out_bias.data[16:] = 3.0
-        feats = ad.Tensor(np.random.default_rng(3).uniform(0, 1, size=(16, 5)))
+        feats = ad.Tensor(np.random.default_rng(3).uniform(0, 1, size=(5, 16)))
         masks = masking.masking_net_forward(feats, m.net)
-        np.testing.assert_array_equal(masks.data[0], np.ones((16, 5)))
-        np.testing.assert_array_equal(masks.data[1], np.full((16, 5), 3.0))
+        np.testing.assert_array_equal(masks.data[:, 0], np.ones((5, 16)))
+        np.testing.assert_array_equal(masks.data[:, 1], np.full((5, 16), 3.0))
 
     def test_eval_deterministic(self):
         m = tiny_model(seed=4)
-        feats = ad.Tensor(np.random.default_rng(5).uniform(0, 1, size=(16, 12)))
+        feats = ad.Tensor(np.random.default_rng(5).uniform(0, 1, size=(12, 16)))
         a = masking.masking_net_forward(feats, m.net)
         b = masking.masking_net_forward(feats, m.net)
         assert np.array_equal(a.data, b.data)
 
     def test_bad_feature_rank(self):
         m = tiny_model()
-        with pytest.raises(ConfigError, match="N, S"):
+        with pytest.raises(ConfigError, match="S, N"):
             masking.masking_net_forward(np.zeros(16), m.net)
 
 
