@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from .config import ModelConfig, TrainConfig
 from .errors import ConfigError
 from .model import build_model, count_parameters
-from .synth import synth_dataset
 from .train import dataset_loss, dataset_si_sdri, split_dataset, train
 
 
@@ -90,9 +89,9 @@ SUITES = {
 def run_ablation(
     suite: str,
     base_cfg: ModelConfig,
-    train_cfg: TrainConfig | None = None,
+    train_cfg: TrainConfig,
+    data,
     budget: int = 50,
-    data=None,
     log=None,
 ) -> AblationReport:
     """Train every variant of ``suite`` for ``budget`` optimizer steps on a
@@ -102,11 +101,6 @@ def run_ablation(
             f"unknown ablation suite {suite!r}; expected one of "
             f"{sorted(SUITES)}"
         )
-    if train_cfg is None:
-        train_cfg = TrainConfig(lr=1e-3, hold_epochs=10 ** 9)
-    if data is None:
-        data = synth_dataset(train_cfg.seed + 1, 8, base_cfg.n_speakers,
-                             1600, base_cfg.sample_rate)
     # max_epochs only needs to be large enough for max_steps to bite
     run_cfg = replace(train_cfg, max_steps=budget, max_epochs=max(budget, 1))
     train_items, _ = split_dataset(data)

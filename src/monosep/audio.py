@@ -6,7 +6,7 @@ import wave
 
 import numpy as np
 
-from .errors import WavFormatError
+from .errors import NumericalError, WavFormatError
 
 _SCALE = 32768.0
 
@@ -33,10 +33,13 @@ def read_wav(path) -> tuple[np.ndarray, int]:
 
 
 def write_wav(path, samples, rate: int) -> None:
-    """Write float samples as mono 16-bit PCM, clipping to the valid range."""
+    """Write float samples as mono 16-bit PCM, clipping to the valid range;
+    a non-finite sample raises ``NumericalError`` before the file is opened."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1:
         raise WavFormatError(f"expected a 1-D signal, got shape {samples.shape}")
+    if not np.isfinite(samples).all():
+        raise NumericalError(f"{path}: signal has non-finite samples")
     clipped = np.clip(samples, -1.0, (_SCALE - 1.0) / _SCALE)
     pcm = np.round(clipped * _SCALE).astype("<i2")
     with wave.open(str(path), "wb") as writer:

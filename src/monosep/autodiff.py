@@ -13,6 +13,8 @@ a ``backward(g)`` closure that pushes gradients into its inputs with
 registration point: it wraps the array and, only when a tape is active and
 some input requires grad, marks the output and appends it to the tape.
 Code outside this module registers fused primitives through ``make_op``.
+``Tensor`` has no operator overloads: every op is a call to a named
+primitive.
 
 Shape conventions follow the rest of the package: sequences are (frames,
 features), and every convolution (``conv1d``, ``transposed_conv1d``,
@@ -66,37 +68,6 @@ class Tensor:
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
-
-    # operator sugar; all routed through the module-level primitives
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -721,22 +692,19 @@ class ParamStore:
     """Named trainable tensors with paired gradient slots.
 
     Names are unique and hierarchical ("block0.convm_u.proj_w"); every entry
-    keeps a gradient of the same shape as its value.
+    requires grad and keeps a gradient of the same shape as its value.
     """
 
     def __init__(self, dtype=np.float64):
         self.dtype = np.dtype(dtype)
         self._entries: dict[str, Tensor] = {}
 
-    def add(self, name: str, value, trainable: bool = True) -> Tensor:
+    def add(self, name: str, value) -> Tensor:
         if name in self._entries:
             raise ConfigError(f"duplicate parameter name {name!r}")
         # np.array rather than ascontiguousarray: the latter turns 0-d into (1,)
-        t = Tensor(
-            np.array(value, dtype=self.dtype, order="C"),
-            requires_grad=trainable,
-            name=name,
-        )
+        t = Tensor(np.array(value, dtype=self.dtype, order="C"),
+                   requires_grad=True, name=name)
         t.grad = np.zeros_like(t.data)
         self._entries[name] = t
         return t
@@ -756,26 +724,16 @@ class ParamStore:
     def items(self):
         return self._entries.items()
 
-    def tensors(self) -> list[Tensor]:
-        return list(self._entries.values())
-
-    def trainable(self):
-        return [(n, t) for n, t in self._entries.items() if t.requires_grad]
-
     def zero_grad(self) -> None:
         for t in self._entries.values():
             t.grad = np.zeros_like(t.data)
 
-    def total_scalars(self, trainable_only: bool = True) -> int:
-        return sum(
-            t.data.size
-            for t in self._entries.values()
-            if t.requires_grad or not trainable_only
-        )
+    def total_scalars(self) -> int:
+        return sum(t.data.size for t in self._entries.values())
 
     def grad_norm(self) -> float:
         total = 0.0
-        for _, t in self.trainable():
+        for t in self._entries.values():
             if t.grad is not None:
                 total += float(np.dot(t.grad.ravel(), t.grad.ravel()))
         return math.sqrt(total)
@@ -823,11 +781,11 @@ def gradient_check(
     with Tape() as tape:
         loss = f(params)
         tape.backward(loss)
-    analytic = {n: t.grad.copy() for n, t in params.trainable()}
+    analytic = {n: t.grad.copy() for n, t in params.items()}
 
     worst = 0.0
     worst_at = ""
-    for name, t in params.trainable():
+    for name, t in params.items():
         flat = t.data.reshape(-1)
         a_flat = analytic[name].reshape(-1)
         for i in range(flat.size):

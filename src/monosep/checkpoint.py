@@ -11,10 +11,10 @@ Layout (all integers little-endian):
     data         raw array bytes in table order: parameters, then first and
                  second Adam moments in the same order when present
 
-Saving validates the model config and is atomic (write to a temp file, then
-rename). Loading verifies the magic, version, payload length and model
-config, raises CheckpointError for any malformed file, and reproduces arrays
-bit-exactly.
+Saving validates the model config, refuses non-finite arrays, and is atomic
+(write to a temp file, then rename). Loading verifies the magic, version,
+payload length, model config and that every array is finite, raises
+CheckpointError for any malformed file, and reproduces arrays bit-exactly.
 """
 
 from __future__ import annotations
@@ -55,21 +55,28 @@ def _le_dtype(arr: np.ndarray) -> np.dtype:
     return dt
 
 
+def _check_finite(arr: np.ndarray, label: str) -> None:
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"{label} has non-finite values")
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write ``ckpt`` atomically; an invalid config raises ConfigError
-    before any file is created."""
+    """Write ``ckpt`` atomically; an invalid config raises ConfigError and a
+    non-finite array raises CheckpointError before any file is created."""
     ckpt.config.validate()
     names = list(ckpt.params)
     table = []
     blobs = []
 
-    def push(arr):
-        arr = np.ascontiguousarray(arr, dtype=_le_dtype(np.asarray(arr)))
+    def push(arrays, kind, name):
+        arr = np.asarray(arrays[name])
+        arr = np.ascontiguousarray(arr, dtype=_le_dtype(arr))
+        _check_finite(arr, f"{kind} {name!r}")
         blobs.append(arr.tobytes())
         return arr
 
     for name in names:
-        arr = push(ckpt.params[name])
+        arr = push(ckpt.params, "parameter", name)
         table.append(
             {"name": name, "shape": list(arr.shape), "dtype": arr.dtype.str}
         )
@@ -78,9 +85,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         if set(ckpt.adam_m) != set(names) or set(ckpt.adam_v) != set(names):
             raise CheckpointError("optimizer moments do not match parameters")
         for name in names:
-            push(ckpt.adam_m[name])
+            push(ckpt.adam_m, "adam_m", name)
         for name in names:
-            push(ckpt.adam_v[name])
+            push(ckpt.adam_v, "adam_v", name)
 
     header = json.dumps({
         "config": dataclasses.asdict(ckpt.config),
@@ -136,7 +143,7 @@ def _decode(raw: bytes, path) -> Checkpoint:
     header = json.loads(raw[16:16 + header_len].decode("utf-8"))
     offset = 16 + header_len
 
-    def take(meta):
+    def take(meta, kind):
         nonlocal offset
         dt = np.dtype(meta["dtype"])
         n = int(np.prod(meta["shape"])) if meta["shape"] else 1
@@ -145,13 +152,14 @@ def _decode(raw: bytes, path) -> Checkpoint:
             raise CheckpointError(f"{path}: truncated checkpoint payload")
         arr = np.frombuffer(raw[offset:end], dtype=dt).reshape(meta["shape"])
         offset = end
+        _check_finite(arr, f"{path}: {kind} {meta['name']!r}")
         return arr.copy()
 
-    params = {m["name"]: take(m) for m in header["params"]}
+    params = {m["name"]: take(m, "parameter") for m in header["params"]}
     adam_m = adam_v = None
     if header["has_moments"]:
-        adam_m = {m["name"]: take(m) for m in header["params"]}
-        adam_v = {m["name"]: take(m) for m in header["params"]}
+        adam_m = {m["name"]: take(m, "adam_m") for m in header["params"]}
+        adam_v = {m["name"]: take(m, "adam_v") for m in header["params"]}
     if offset != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after payload")
     return Checkpoint(

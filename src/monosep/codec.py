@@ -3,7 +3,9 @@
 The encoder turns a length-T waveform into a non-negative feature sequence
 of shape (S, N) with S = (T - K)/(K/2) + 1 frames (kernel K, stride K/2).
 The decoder inverts the framing with a transposed convolution using the
-same kernel and stride; the caller trims the result back to T.
+same kernel and stride; the caller trims the result back to T. K is fixed
+when ``init_codec`` creates the weights: ``encode`` and ``decode`` read it
+from the weight shapes, so no call can frame with another kernel.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ def init_codec(
     store: ad.ParamStore, prefix: str, n_feat: int, kernel: int,
     rng: np.random.Generator,
 ) -> CodecParams:
+    if kernel < 2 or kernel % 2 != 0:
+        raise ConfigError(f"codec kernel must be even and >= 2, got {kernel}")
     bound = 1.0 / math.sqrt(kernel)
     return CodecParams(
         enc_weight=store.add(
@@ -40,31 +44,19 @@ def init_codec(
     )
 
 
-def _check_kernel(kernel: int) -> int:
-    if kernel < 2 or kernel % 2 != 0:
-        raise ConfigError(f"codec kernel must be even and >= 2, got {kernel}")
-    return kernel // 2
-
-
 def pad_amount(n_samples: int, kernel: int) -> int:
     """Zeros to append so the last stride window lands on the final sample."""
-    stride = _check_kernel(kernel)
+    stride = kernel // 2
     return (stride - (n_samples - kernel) % stride) % stride
 
 
-def num_frames(n_samples: int, kernel: int) -> int:
-    """Frame count S after right padding; equals 2(T-K)/K + 1 when aligned."""
-    stride = _check_kernel(kernel)
-    padded = n_samples + pad_amount(n_samples, kernel)
-    return (padded - kernel) // stride + 1
-
-
-def encode(wave, params: CodecParams, kernel: int) -> ad.Tensor:
-    """Waveform (T,) -> non-negative features (S, N)."""
+def encode(wave, params: CodecParams) -> ad.Tensor:
+    """Waveform (T,) -> non-negative features (S, N), S = 2(T'-K)/K + 1 for
+    T right-padded to T' by ``pad_amount``."""
     wave = ad.as_tensor(wave)
     if wave.ndim != 1:
         raise ConfigError(f"encode expects a 1-D waveform, got shape {wave.shape}")
-    stride = _check_kernel(kernel)
+    kernel = params.enc_weight.shape[2]
     n_samples = wave.shape[0]
     if n_samples < kernel:
         raise InputTooShortError(
@@ -72,7 +64,7 @@ def encode(wave, params: CodecParams, kernel: int) -> ad.Tensor:
         )
     x = ad.reshape(wave, (n_samples, 1))
     x = ad.pad_axis_end(x, 0, pad_amount(n_samples, kernel))
-    return ad.relu(ad.conv1d(x, params.enc_weight, params.enc_bias, stride))
+    return ad.relu(ad.conv1d(x, params.enc_weight, params.enc_bias, kernel // 2))
 
 
 def apply_mask(features: ad.Tensor, masks: ad.Tensor, speaker: int) -> ad.Tensor:
@@ -88,11 +80,9 @@ def apply_mask(features: ad.Tensor, masks: ad.Tensor, speaker: int) -> ad.Tensor
     return ad.mul(ad.reshape(one, features.shape), features)
 
 
-def decode(
-    features, params: CodecParams, kernel: int, trim_to: int | None = None
-) -> ad.Tensor:
+def decode(features, params: CodecParams, trim_to: int | None = None) -> ad.Tensor:
     """Features (S, N) -> waveform ((S-1)*K/2 + K,), optionally trimmed."""
-    stride = _check_kernel(kernel)
+    stride = params.dec_weight.shape[2] // 2
     wave = ad.transposed_conv1d(features, params.dec_weight, stride)
     wave = ad.reshape(wave, (wave.shape[0],))
     if trim_to is not None:

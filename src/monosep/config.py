@@ -29,14 +29,15 @@ class ModelConfig:
     dense_qk: bool = False
 
     def validate(self) -> "ModelConfig":
-        if self.enc_kernel % 2 != 0:
-            raise ConfigError(f"enc_kernel must be even, got {self.enc_kernel}")
+        for name in ("n_blocks", "n_feat", "enc_kernel", "dw_kernel",
+                     "chunk_size", "attn_dim", "n_speakers", "sample_rate"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+            if name in ("n_feat", "enc_kernel", "attn_dim") and value % 2:
+                raise ConfigError(f"{name} must be even, got {value}")
         if self.dw_kernel % 2 == 0:
             raise ConfigError(f"dw_kernel must be odd, got {self.dw_kernel}")
-        if self.attn_dim % 2 != 0:
-            raise ConfigError(f"attn_dim must be even, got {self.attn_dim}")
-        if self.n_speakers < 1:
-            raise ConfigError(f"n_speakers must be >= 1, got {self.n_speakers}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.attention_mode not in _MODES:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, InvalidReferenceError
+from .errors import ConfigError, InvalidReferenceError, NumericalError
 
 _DB_SCALE = 10.0 / math.log(10.0)  # 10 * log10(x) == _DB_SCALE * ln(x)
 
@@ -61,7 +61,8 @@ def pit_loss(ests, refs, eps: float = 1e-8) -> tuple[ad.Tensor, tuple[int, ...]]
     Returns (loss, perm) where perm[i] is the estimate index assigned to
     reference i. The search is exhaustive; ties keep the lexicographically
     smallest permutation. Only the winning assignment contributes to the
-    returned graph.
+    returned graph. When no permutation scores finite, ``NumericalError``
+    names the first non-finite (estimate, reference) pair.
     """
     n = len(refs)
     if len(ests) != n:
@@ -78,6 +79,11 @@ def pit_loss(ests, refs, eps: float = 1e-8) -> tuple[ad.Tensor, tuple[int, ...]]
         if value > best_value:
             best_value = value
             best_perm = perm
+    if best_perm is None:
+        e, r = next((e, r) for e in range(n) for r in range(n)
+                    if not math.isfinite(scores[e][r].item()))
+        raise NumericalError(f"non-finite SI-SDR {scores[e][r].item()} for "
+                             f"estimate {e} against reference {r}")
     total = scores[best_perm[0]][0]
     for i in range(1, n):
         total = ad.add(total, scores[best_perm[i]][i])

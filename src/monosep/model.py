@@ -1,4 +1,8 @@
-"""Full separation model: codec + masking net, parameter bookkeeping."""
+"""Full separation model: codec + masking net, parameter bookkeeping.
+
+Every choice in ``ModelConfig`` is fixed by ``build_model``; the forward
+path reads shapes and flags off the parameters, never off ``config``.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .codec import CodecParams, apply_mask, decode, encode, init_codec
 from .config import ModelConfig
+from .errors import NumericalError
 from .masking import MaskingNetParams, init_masking_net, masking_net_forward
 
 
@@ -36,20 +41,15 @@ def count_parameters(cfg: ModelConfig, seed: int = 0) -> int:
 
 
 def encode_features(model: SeparationModel, mixture) -> ad.Tensor:
-    """Mixture waveform (T,) -> non-negative feature map (S, N)."""
+    """Mixture waveform (T,) -> non-negative feature map (S, N); a
+    non-finite sample raises ``NumericalError``."""
     mixture = ad.as_tensor(mixture)
+    if not np.isfinite(mixture.data).all():
+        raise NumericalError("mixture has non-finite samples")
     if mixture.dtype != model.store.dtype and not mixture.requires_grad:
         # keep single-precision models single precision end to end
         mixture = ad.constant(mixture.data.astype(model.store.dtype))
-    return encode(mixture, model.codec, model.config.enc_kernel)
-
-
-def compute_masks(
-    model: SeparationModel, features, train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> ad.Tensor:
-    """Feature map (S, N) -> per-speaker masks (S, C, N)."""
-    return masking_net_forward(features, model.net, train, rng)
+    return encode(mixture, model.codec)
 
 
 def separate(
@@ -57,14 +57,11 @@ def separate(
     rng: np.random.Generator | None = None,
 ) -> list[ad.Tensor]:
     """Mixture waveform (T,) -> C estimated source waveforms, each (T,)."""
-    cfg = model.config
     n_samples = ad.as_tensor(mixture).shape[0]
     features = encode_features(model, mixture)
-    masks = compute_masks(model, features, train, rng)
-    estimates = []
-    for speaker in range(cfg.n_speakers):
-        gated = apply_mask(features, masks, speaker)
-        estimates.append(
-            decode(gated, model.codec, cfg.enc_kernel, trim_to=n_samples)
-        )
-    return estimates
+    masks = masking_net_forward(features, model.net, train, rng)  # (S, C, N)
+    return [
+        decode(apply_mask(features, masks, speaker), model.codec,
+               trim_to=n_samples)
+        for speaker in range(masks.shape[1])
+    ]

@@ -26,14 +26,14 @@ class Adam:
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
-        self.m = {n: np.zeros_like(t.data) for n, t in store.trainable()}
-        self.v = {n: np.zeros_like(t.data) for n, t in store.trainable()}
+        self.m = {n: np.zeros_like(t.data) for n, t in store.items()}
+        self.v = {n: np.zeros_like(t.data) for n, t in store.items()}
 
     def step(self) -> None:
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
-        for name, t in self.store.trainable():
+        for name, t in self.store.items():
             g = t.grad
             m = self.m[name]
             v = self.v[name]
@@ -50,14 +50,14 @@ def clip_gradient_norm(store: ad.ParamStore, max_norm: float) -> float:
     ``NumericalError`` before any gradient is touched."""
     norm = store.grad_norm()
     if not math.isfinite(norm):
-        bad = next((n for n, t in store.trainable()
+        bad = next((n for n, t in store.items()
                     if t.grad is not None and not np.isfinite(t.grad).all()),
                    None)
         where = f"parameter {bad!r}" if bad else "the global norm (overflow)"
         raise NumericalError(f"non-finite gradient in {where}: norm={norm}")
     if norm > max_norm:
         scale = max_norm / norm
-        for _, t in store.trainable():
+        for _, t in store.items():
             t.grad = t.grad * scale
     return norm
 
@@ -174,10 +174,8 @@ def train(
                     loss = ad.div(loss, float(len(losses)))
                 value = loss.item()
                 if not math.isfinite(value):
-                    raise NumericalError(
-                        f"non-finite loss {value} at epoch {epoch} batch "
-                        f"{b_index}; grad_norm={store.grad_norm():.4g}"
-                    )
+                    raise NumericalError(f"non-finite loss {value} at "
+                                         f"epoch {epoch} batch {b_index}")
                 tape.backward(loss)
             clip_gradient_norm(store, cfg.clip_norm)
             opt.lr = schedule.lr

@@ -24,6 +24,7 @@ from monosep.checkpoint import Checkpoint, load_checkpoint, restore_model, \
 from monosep.codec import apply_mask, decode
 from monosep.config import PRESET_PARAM_TARGETS, ModelConfig
 from monosep.losses import pit_loss, si_sdr
+from monosep.masking import masking_net_forward
 from monosep.model import build_model, count_parameters, separate
 
 
@@ -134,10 +135,10 @@ class TestAcceptance:
             mixture = np.random.default_rng(5).normal(
                 size=n_samples).astype(np.float32) * 0.1
             features = model_mod.encode_features(model, mixture)
-            masks = model_mod.compute_masks(model, features)
+            masks = masking_net_forward(features, model.net)
             ests = [
                 decode(apply_mask(features, masks, spk), model.codec,
-                       cfg.enc_kernel, trim_to=n_samples)
+                       trim_to=n_samples)
                 for spk in range(cfg.n_speakers)
             ]
             ok &= features.shape == (frames, cfg.n_feat)

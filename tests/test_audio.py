@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from monosep import audio
-from monosep.errors import WavFormatError
+from monosep.errors import NumericalError, WavFormatError
 
 
 class TestRoundTrip:
@@ -64,3 +64,10 @@ class TestFormatErrors:
     def test_2d_write_rejected(self, tmp_path):
         with pytest.raises(WavFormatError, match="1-D"):
             audio.write_wav(tmp_path / "x.wav", np.zeros((2, 4)), 8000)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_write_rejected(self, tmp_path, bad):
+        # a cast would turn nan into 0 and +-inf into full scale
+        with pytest.raises(NumericalError, match="non-finite"):
+            audio.write_wav(tmp_path / "x.wav", [0.1, bad, 0.2], 8000)
+        assert list(tmp_path.iterdir()) == []

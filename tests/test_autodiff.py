@@ -609,8 +609,7 @@ class TestParamStore:
     def test_total_scalars_and_norm(self):
         store = ad.ParamStore()
         store.add("a", np.ones((2, 3)))
-        store.add("b", np.full(4, 2.0), trainable=False)
-        assert store.total_scalars() == 6
-        assert store.total_scalars(trainable_only=False) == 10
+        store.add("b", np.full(4, 2.0))
+        assert store.total_scalars() == 10
         store["a"].grad = np.full((2, 3), 2.0)
         assert store.grad_norm() == pytest.approx(np.sqrt(24.0))

@@ -175,6 +175,33 @@ class TestErrors:
             save_checkpoint(ckpt, tmp_path / "bad.ckpt")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("kind,index", [
+        ("parameter", 0), ("adam_m", 1), ("adam_v", 2),
+    ])
+    def test_non_finite_array_rejected_on_load(self, tmp_path, kind, index):
+        path = self.make_file(tmp_path)
+        raw = bytearray(path.read_bytes())
+        header_end = 16 + int.from_bytes(raw[8:16], "little")
+        table = json.loads(raw[16:header_end])["params"]
+        # first array of the kind-th section: all NaN
+        start = header_end + index * sum(
+            int(np.prod(m["shape"])) * 8 for m in table)
+        size = int(np.prod(table[0]["shape"]))
+        raw[start:start + 8 * size] = np.full(size, np.nan).tobytes()
+        path.write_bytes(bytes(raw))
+        name = table[0]["name"]
+        with pytest.raises(CheckpointError, match=f"{kind} '{name}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", ["params", "adam_m", "adam_v"])
+    def test_non_finite_array_rejected_on_save(self, tmp_path, kind):
+        _, ckpt = trained_checkpoint(seed=6)
+        name = list(ckpt.params)[2]
+        getattr(ckpt, kind)[name][...] = np.nan
+        with pytest.raises(CheckpointError, match=repr(name)):
+            save_checkpoint(ckpt, tmp_path / "nan.ckpt")
+        assert list(tmp_path.iterdir()) == []
+
     def test_mismatched_moments(self, tmp_path):
         ckpt = Checkpoint(
             config=cfg_mod.preset("tiny"),

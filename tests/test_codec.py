@@ -17,37 +17,36 @@ def make_params(n_feat=4, kernel=8, seed=0):
 class TestEncode:
     @pytest.mark.parametrize("t,k,expected", [(16, 8, 3), (32000, 16, 3999)])
     def test_frame_count_formula(self, t, k, expected):
-        assert codec.num_frames(t, k) == expected
         params, _ = make_params(n_feat=3, kernel=k)
-        out = codec.encode(np.zeros(t), params, k)
+        out = codec.encode(np.zeros(t), params)
         assert out.shape == (expected, 3)
 
     def test_zero_input_negative_bias_clamps(self):
         params, _ = make_params()
         params.enc_bias.data[:] = -1.0
-        out = codec.encode(np.zeros(64), params, 8)
+        out = codec.encode(np.zeros(64), params)
         np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
 
     def test_output_non_negative(self):
         params, _ = make_params()
         rng = np.random.default_rng(1)
-        out = codec.encode(rng.normal(size=123), params, 8)
+        out = codec.encode(rng.normal(size=123), params)
         assert out.data.min() >= 0.0
 
     def test_too_short(self):
         params, _ = make_params()
         with pytest.raises(InputTooShortError):
-            codec.encode(np.zeros(7), params, 8)
+            codec.encode(np.zeros(7), params)
 
     def test_odd_kernel_rejected(self):
-        params, _ = make_params()
         with pytest.raises(ConfigError, match="even"):
-            codec.encode(np.zeros(32), params, 7)
+            make_params(kernel=7)
 
     def test_padding_to_next_stride(self):
         # T=17, K=8, stride 4: remainder 1 -> pad 3 -> S=4
+        params, _ = make_params(kernel=8)
         assert codec.pad_amount(17, 8) == 3
-        assert codec.num_frames(17, 8) == 4
+        assert codec.encode(np.zeros(17), params).shape[0] == 4
 
 
 class TestApplyMask:
@@ -83,12 +82,12 @@ class TestApplyMask:
 class TestDecode:
     def test_length_formula(self):
         params, _ = make_params()
-        out = codec.decode(np.zeros((3, 4)), params, 8)
+        out = codec.decode(np.zeros((3, 4)), params)
         assert out.shape == (16,)  # (3-1)*4 + 8
 
     def test_zeros_decode_to_zeros(self):
         params, _ = make_params()
-        out = codec.decode(np.zeros((5, 4)), params, 8)
+        out = codec.decode(np.zeros((5, 4)), params)
         np.testing.assert_array_equal(out.data, np.zeros(24))
 
     @pytest.mark.parametrize("t,k", [(16000, 8), (16000, 16), (1234, 8)])
@@ -96,14 +95,14 @@ class TestDecode:
         params, _ = make_params(n_feat=6, kernel=k, seed=3)
         rng = np.random.default_rng(4)
         wave = rng.normal(size=t)
-        feats = codec.encode(wave, params, k)
-        back = codec.decode(feats, params, k, trim_to=t)
+        feats = codec.encode(wave, params)
+        back = codec.decode(feats, params, trim_to=t)
         assert back.shape == (t,)
 
     def test_trim_longer_than_output(self):
         params, _ = make_params()
         with pytest.raises(ConfigError, match="trim"):
-            codec.decode(np.zeros((3, 4)), params, 8, trim_to=99)
+            codec.decode(np.zeros((3, 4)), params, trim_to=99)
 
     def test_positive_orthant_linearity(self):
         # positive weights, zero bias, positive input: the encoder ReLU never
@@ -114,7 +113,7 @@ class TestDecode:
         wave = rng.uniform(0.1, 1.0, size=200)
 
         def round_trip(w):
-            return codec.decode(codec.encode(w, params, 8), params, 8, trim_to=200)
+            return codec.decode(codec.encode(w, params), params, trim_to=200)
 
         a = 3.7
         one = round_trip(wave)
@@ -129,9 +128,9 @@ class TestDecode:
         probe = rng.normal(size=40)
 
         def f(p):
-            feats = codec.encode(wave, params, 8)
+            feats = codec.encode(wave, params)
             return ad.sum_all(
-                ad.mul(codec.decode(feats, params, 8, trim_to=40), ad.Tensor(probe))
+                ad.mul(codec.decode(feats, params, trim_to=40), ad.Tensor(probe))
             )
 
         assert ad.gradient_check(f, store, h=1e-5) < 1e-6

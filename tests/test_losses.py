@@ -7,7 +7,7 @@ import pytest
 
 from monosep import autodiff as ad
 from monosep import losses
-from monosep.errors import ConfigError, InvalidReferenceError
+from monosep.errors import ConfigError, InvalidReferenceError, NumericalError
 
 
 def reference_si_sdr(est, ref, eps=1e-8):
@@ -144,6 +144,18 @@ class TestPitLoss:
         with pytest.raises(ConfigError, match="estimates"):
             losses.pit_loss([rng.normal(size=50)],
                             [rng.normal(size=50), rng.normal(size=50)])
+
+    @pytest.mark.parametrize("side", ["estimate", "reference"])
+    def test_non_finite_input_names_first_pair(self, side):
+        rng = np.random.default_rng(14)
+        refs = [rng.normal(size=50) for _ in range(2)]
+        ests = [r + 0.1 * rng.normal(size=50) for r in refs]
+        (ests if side == "estimate" else refs)[1][3] = np.nan
+        # pairs are scanned estimate-major: (0, 0), (0, 1), (1, 0), ...
+        pair = ("estimate 1 against reference 0" if side == "estimate"
+                else "estimate 0 against reference 1")
+        with pytest.raises(NumericalError, match=pair):
+            losses.pit_loss(ests, refs)
 
     def test_gradient_flows_only_to_winners(self):
         rng = np.random.default_rng(13)

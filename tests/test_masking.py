@@ -6,7 +6,7 @@ import pytest
 from monosep import autodiff as ad
 from monosep import config as cfg_mod
 from monosep import masking, model
-from monosep.errors import ConfigError
+from monosep.errors import ConfigError, NumericalError
 
 
 class TestPositionalEncoding:
@@ -109,14 +109,33 @@ class TestModelAssembly:
         assert n2 == non_block + 2 * per_block
 
     def test_forward_ignores_config_after_build(self):
-        # ablation choices are fixed when the model is built
+        # every choice, the codec kernel and speaker count included, is
+        # fixed when the model is built
         m = tiny_model(seed=14, attention_mode="local_only", single_gate=True)
         mixture = np.random.default_rng(15).normal(size=300)
         before = [t.data for t in model.separate(m, mixture)]
         m.config.attention_mode, m.config.single_gate = "joint", False
+        m.config.enc_kernel, m.config.n_speakers = 16, 1
         after = [t.data for t in model.separate(m, mixture)]
+        assert len(after) == len(before) == 2
         for a, b in zip(before, after):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mixture_rejected(self, bad):
+        mixture = np.random.default_rng(16).normal(size=300)
+        mixture[7] = bad
+        with pytest.raises(NumericalError, match="mixture"):
+            model.separate(tiny_model(seed=17), mixture)
+
+    @pytest.mark.parametrize("field,value", [
+        ("enc_kernel", 0), ("n_feat", 15), ("chunk_size", 0),
+        ("n_blocks", 0), ("n_blocks", -1), ("attn_dim", 0),
+        ("dw_kernel", -1), ("sample_rate", 0),
+    ])
+    def test_invalid_config_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            cfg_mod.preset("tiny", **{field: value})
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="preset"):

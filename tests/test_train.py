@@ -180,7 +180,7 @@ class TestTrainLoop:
     def test_non_finite_gradient_stops_before_update(self, monkeypatch, bad):
         model, data = tiny_setup(seed=12)
         store = model.store
-        poisoned = store.trainable()[3][0]
+        poisoned = store.names()[3]
         before = {n: t.data.copy() for n, t in store.items()}
         backward = ad.Tape.backward
 
@@ -194,6 +194,25 @@ class TestTrainLoop:
             train.train(model, tcfg, data)
         for n, t in store.items():
             np.testing.assert_array_equal(t.data, before[n], err_msg=n)
+
+    def test_non_finite_source_is_numerical_error(self):
+        model, data = tiny_setup(seed=14)
+        data[0][1][1][5] = np.nan
+        tcfg = cfg_mod.TrainConfig(lr=1e-3, max_epochs=1, max_steps=1, seed=15)
+        with pytest.raises(NumericalError, match="reference 1"):
+            train.train(model, tcfg, data)
+
+    def test_non_finite_loss_message(self, monkeypatch):
+        model, data = tiny_setup(seed=16)
+
+        def nan_loss(ests, refs):
+            return ad.mul(ad.sum_all(ests[0]), np.nan), (0, 1)
+
+        monkeypatch.setattr(train, "pit_loss", nan_loss)
+        tcfg = cfg_mod.TrainConfig(lr=1e-3, max_epochs=1, max_steps=1, seed=17)
+        with pytest.raises(NumericalError,
+                           match=r"^non-finite loss nan at epoch 0 batch 0$"):
+            train.train(model, tcfg, data)
 
     def test_empty_data_rejected(self):
         model, _ = tiny_setup(seed=10)
