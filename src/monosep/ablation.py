@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from .config import ModelConfig, TrainConfig
 from .errors import ConfigError
-from .model import build_model, count_parameters
+from .model import build_model
 from .train import dataset_loss, dataset_si_sdri, split_dataset, train
 
 
@@ -112,7 +112,7 @@ def run_ablation(
         train(model, run_cfg, data)
         row = AblationRow(
             variant=name,
-            n_params=count_parameters(cfg),
+            n_params=model.store.total_scalars(),
             steps=budget,
             loss=dataset_loss(model, train_items),
             si_sdri=dataset_si_sdri(model, train_items),

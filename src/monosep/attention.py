@@ -180,7 +180,7 @@ def local_attention(q, k, values, gates, chunk_size: int):
 
 
 def joint_attention(
-    x, values, gates, p: AttentionParams, train: bool = False,
+    x, values, gates, p: AttentionParams,
     rng: np.random.Generator | None = None,
 ):
     """Block input (S, N) + value/gate sequences (S, G) -> attended pair.
@@ -189,7 +189,7 @@ def joint_attention(
     sums the local and global branch outputs elementwise; the *_only modes
     return a single branch for ablations.
     """
-    shared = p.shared(x, train, rng)
+    shared = p.shared(x, rng)
     q_loc, k_loc, q_glob, k_glob = derive_qk(shared, p)
     if p.mode == "local_only":
         return local_attention(q_loc, k_loc, values, gates, p.chunk_size)

@@ -126,10 +126,6 @@ def _pair(a, b) -> tuple[Tensor, Tensor]:
     return as_tensor(a), as_tensor(b)
 
 
-def constant(x, dtype=None) -> Tensor:
-    return Tensor(np.asarray(x, dtype=dtype))
-
-
 def _op(data, inputs: Iterable[Tensor],
         backward: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap a primitive's forward array; record it on the active tape when
@@ -422,15 +418,15 @@ def activation(kind: str, a) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def dropout(a, p: float, rng: np.random.Generator | None, train: bool) -> Tensor:
-    """Inverted dropout: scale by 1/(1-p) at train time, identity at eval."""
+def dropout(a, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: the RNG is the training signal. With an ``rng``,
+    zero each entry with probability ``p`` and scale survivors by 1/(1-p);
+    without one (inference), return ``a`` unchanged."""
     a = as_tensor(a)
-    if not train or p == 0.0:
+    if rng is None or p == 0.0:
         return a
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-    if rng is None:
-        raise ConfigError("training-mode dropout needs an explicit RNG")
     keep = (rng.random(a.data.shape) >= p).astype(a.data.dtype)
     keep /= 1.0 - p
 
@@ -758,19 +754,20 @@ class ParamStore:
 # finite-difference gradient checking
 # ---------------------------------------------------------------------------
 
+_REL_FLOOR = 1e-8  # relative-error denominator floor for near-zero gradients
+
 
 def gradient_check(
     f: Callable[[ParamStore], Tensor],
     params: ParamStore,
     h: float = 1e-5,
-    rel_floor: float = 1e-8,
     verbose: bool = False,
 ) -> float:
     """Compare reverse-mode gradients against central finite differences.
 
     Runs f once under a tape for analytic gradients, then perturbs every
     trainable scalar by +/-h and recomputes f without a tape. Returns the
-    worst relative error max(|a - n| / max(|a|, |n|, rel_floor)).
+    worst relative error max(|a - n| / max(|a|, |n|, _REL_FLOOR)).
     """
     if params.dtype != np.float64:
         raise ConfigError("gradient_check requires a float64 ParamStore")
@@ -803,7 +800,7 @@ def gradient_check(
             a = float(a_flat[i])
             if not math.isfinite(a):
                 raise NumericalError(f"non-finite analytic gradient at {name}[{i}]")
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), rel_floor)
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), _REL_FLOOR)
             if rel > worst:
                 worst = rel
                 worst_at = f"{name}[{i}]"

@@ -49,18 +49,15 @@ def init_block(
 
 
 def block_forward(
-    x, p: BlockParams, train: bool = False,
-    rng: np.random.Generator | None = None,
+    x, p: BlockParams, rng: np.random.Generator | None = None,
 ) -> ad.Tensor:
     x = ad.as_tensor(x)
-    gate_seq = p.to_gate(x, train, rng)
-    value_seq = p.to_value(x, train, rng)
-    value_attn, gate_attn = joint_attention(
-        x, value_seq, gate_seq, p.attn, train, rng
-    )
+    gate_seq = p.to_gate(x, rng)
+    value_seq = p.to_value(x, rng)
+    value_attn, gate_attn = joint_attention(x, value_seq, gate_seq, p.attn, rng)
     gated = ad.mul(gate_attn, value_seq)
     if not p.single_gate:
         gated = ad.mul(
             ad.activation(p.gate_phi, ad.mul(gate_seq, value_attn)), gated
         )
-    return ad.add(x, p.out_proj(gated, train, rng))
+    return ad.add(x, p.out_proj(gated, rng))

@@ -82,6 +82,9 @@ def build_configs(pairs) -> tuple[ModelConfig, TrainConfig, dict[str, int]]:
                 raise ConfigError(f"{key} expects int, got {raw!r}") from None
         else:
             raise ConfigError(f"unknown config key {key!r}")
+    for key in ("data_count", "data_samples"):
+        if data[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {data[key]}")
     return preset(preset_name, **overrides), tcfg.validate(), data
 
 

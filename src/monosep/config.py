@@ -100,6 +100,10 @@ class TrainConfig:
             raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.max_steps < 0:
+            raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
         return self
 
 

@@ -29,9 +29,8 @@ class ConvModuleParams:
     dw_weight: ad.Tensor  # (N_out, K2)
     dropout_p: float = 0.0
 
-    def __call__(self, x, train: bool = False,
-                 rng: np.random.Generator | None = None) -> ad.Tensor:
-        return conv_module_forward(x, self, train, rng)
+    def __call__(self, x, rng: np.random.Generator | None = None) -> ad.Tensor:
+        return conv_module_forward(x, self, rng)
 
 
 @dataclass
@@ -41,8 +40,7 @@ class DenseParams:
     proj_weight: ad.Tensor
     proj_bias: ad.Tensor
 
-    def __call__(self, x, train: bool = False,
-                 rng: np.random.Generator | None = None) -> ad.Tensor:
+    def __call__(self, x, rng: np.random.Generator | None = None) -> ad.Tensor:
         return dense_forward(x, self)
 
 
@@ -98,14 +96,17 @@ def init_projection(
 
 
 def conv_module_forward(
-    x, p: ConvModuleParams, train: bool = False,
-    rng: np.random.Generator | None = None,
+    x, p: ConvModuleParams, rng: np.random.Generator | None = None,
 ) -> ad.Tensor:
-    """x (S, N_in) -> (S, N_out); the skip spans the depthwise convolution."""
+    """x (S, N_in) -> (S, N_out); the skip spans the depthwise convolution.
+
+    Dropout draws its masks from ``rng`` when one is given (training) and
+    is the identity without one (inference).
+    """
     y0 = ad.silu(ad.linear(ad.layer_norm(x, p.norm_gain, p.norm_bias),
                            p.proj_weight, p.proj_bias))
     dw = ad.depthwise_conv1d(y0, p.dw_weight)
-    return ad.dropout(ad.add(y0, dw), p.dropout_p, rng, train)
+    return ad.dropout(ad.add(y0, dw), p.dropout_p, rng)
 
 
 def dense_forward(x, p: DenseParams) -> ad.Tensor:

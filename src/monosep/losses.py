@@ -12,6 +12,7 @@ from . import autodiff as ad
 from .errors import ConfigError, InvalidReferenceError, NumericalError
 
 _DB_SCALE = 10.0 / math.log(10.0)  # 10 * log10(x) == _DB_SCALE * ln(x)
+_EPS = 1e-8  # si_sdr's energy guard for the metric and the loss
 
 
 def _centered(x) -> ad.Tensor:
@@ -23,7 +24,7 @@ def _energy(x) -> ad.Tensor:
     return ad.sum_all(ad.mul(x, x))
 
 
-def si_sdr(est, ref, eps: float = 1e-8) -> ad.Tensor:
+def si_sdr(est, ref, eps: float = _EPS) -> ad.Tensor:
     """Scale-invariant SDR in dB; differentiable in ``est``.
 
     Both signals are centered first; the reference is then rescaled to the
@@ -50,12 +51,12 @@ def si_sdr(est, ref, eps: float = 1e-8) -> ad.Tensor:
     return ad.mul(ad.log(ratio), _DB_SCALE)
 
 
-def si_sdri(est, mix, ref, eps: float = 1e-8) -> ad.Tensor:
+def si_sdri(est, mix, ref) -> ad.Tensor:
     """Improvement of the estimate over the unprocessed mixture, in dB."""
-    return ad.sub(si_sdr(est, ref, eps), si_sdr(mix, ref, eps))
+    return ad.sub(si_sdr(est, ref), si_sdr(mix, ref))
 
 
-def pit_loss(ests, refs, eps: float = 1e-8) -> tuple[ad.Tensor, tuple[int, ...]]:
+def pit_loss(ests, refs) -> tuple[ad.Tensor, tuple[int, ...]]:
     """Best-permutation negative mean SI-SDR.
 
     Returns (loss, perm) where perm[i] is the estimate index assigned to
@@ -67,11 +68,13 @@ def pit_loss(ests, refs, eps: float = 1e-8) -> tuple[ad.Tensor, tuple[int, ...]]
     n = len(refs)
     if len(ests) != n:
         raise ConfigError(f"got {len(ests)} estimates for {n} references")
+    if n < 1:
+        raise ConfigError("pit_loss needs at least one speaker")
     if n > 4:
         raise ConfigError(
             f"exhaustive permutation search supports at most 4 speakers, got {n}"
         )
-    scores = [[si_sdr(e, r, eps) for r in refs] for e in ests]
+    scores = [[si_sdr(e, r) for r in refs] for e in ests]
     best_perm = None
     best_value = -math.inf
     for perm in itertools.permutations(range(n)):

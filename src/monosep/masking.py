@@ -43,7 +43,6 @@ class MaskingNetParams:
     glu_gate_bias: ad.Tensor
     out_weight: ad.Tensor  # (C*N, C*N)
     out_bias: ad.Tensor
-    n_speakers: int
 
 
 def _linear_params(store, prefix, n_in, n_out, rng):
@@ -76,18 +75,18 @@ def init_masking_net(
         glu_value_weight=glu_v_w, glu_value_bias=glu_v_b,
         glu_gate_weight=glu_g_w, glu_gate_bias=glu_g_b,
         out_weight=out_w, out_bias=out_b,
-        n_speakers=cfg.n_speakers,
     )
 
 
 def masking_net_forward(
-    features, p: MaskingNetParams, train: bool = False,
-    rng: np.random.Generator | None = None,
+    features, p: MaskingNetParams, rng: np.random.Generator | None = None,
 ) -> ad.Tensor:
     """Encoded features (S, N) -> non-negative masks (S, C, N).
 
     The speaker axis of the mask head splits channel c*N+n as (speaker c,
-    feature n); the decode path relies on this order.
+    feature n); the decode path relies on this order, and C is read off
+    ``out_weight``'s shape. ``rng`` drives dropout (training); without it
+    the pass is deterministic.
     """
     features = ad.as_tensor(features)
     if features.ndim != 2:
@@ -97,10 +96,10 @@ def masking_net_forward(
     n_frames, n_feat = features.shape
     pe = positional_encoding(n_frames, n_feat).astype(features.dtype)
     x = ad.add(ad.layer_norm(features, p.norm_gain, p.norm_bias),
-               ad.constant(pe))
+               ad.Tensor(pe))
     x = ad.linear(x, p.in_weight, p.in_bias)
     for bp in p.blocks:
-        x = block_forward(x, bp, train, rng)
+        x = block_forward(x, bp, rng)
     x = ad.relu(x)
     x = ad.linear(x, p.expand_weight, p.expand_bias)  # (S, C*N)
     x = ad.mul(
@@ -108,4 +107,4 @@ def masking_net_forward(
         ad.sigmoid(ad.linear(x, p.glu_gate_weight, p.glu_gate_bias)),
     )
     x = ad.relu(ad.linear(x, p.out_weight, p.out_bias))
-    return ad.reshape(x, (n_frames, p.n_speakers, n_feat))
+    return ad.reshape(x, (n_frames, -1, n_feat))

@@ -35,9 +35,9 @@ def build_model(cfg: ModelConfig, seed: int = 0,
     return SeparationModel(config=cfg, store=store, codec=codec, net=net)
 
 
-def count_parameters(cfg: ModelConfig, seed: int = 0) -> int:
+def count_parameters(cfg: ModelConfig) -> int:
     """Total trainable scalars for a config; float32 keeps big presets cheap."""
-    return build_model(cfg, seed=seed, dtype=np.float32).store.total_scalars()
+    return build_model(cfg, dtype=np.float32).store.total_scalars()
 
 
 def encode_features(model: SeparationModel, mixture) -> ad.Tensor:
@@ -48,18 +48,22 @@ def encode_features(model: SeparationModel, mixture) -> ad.Tensor:
         raise NumericalError("mixture has non-finite samples")
     if mixture.dtype != model.store.dtype and not mixture.requires_grad:
         # keep single-precision models single precision end to end
-        mixture = ad.constant(mixture.data.astype(model.store.dtype))
+        mixture = ad.Tensor(mixture.data.astype(model.store.dtype))
     return encode(mixture, model.codec)
 
 
 def separate(
-    model: SeparationModel, mixture, train: bool = False,
-    rng: np.random.Generator | None = None,
+    model: SeparationModel, mixture, rng: np.random.Generator | None = None,
 ) -> list[ad.Tensor]:
-    """Mixture waveform (T,) -> C estimated source waveforms, each (T,)."""
+    """Mixture waveform (T,) -> C estimated source waveforms, each (T,).
+
+    Passing ``rng`` is training mode: dropout draws its masks from it.
+    Without it (inference) the output is a deterministic function of the
+    parameters and the mixture.
+    """
     n_samples = ad.as_tensor(mixture).shape[0]
     features = encode_features(model, mixture)
-    masks = masking_net_forward(features, model.net, train, rng)  # (S, C, N)
+    masks = masking_net_forward(features, model.net, rng)  # (S, C, N)
     return [
         decode(apply_mask(features, masks, speaker), model.codec,
                trim_to=n_samples)

@@ -15,33 +15,34 @@ from .losses import pit_loss, si_sdri
 from .model import SeparationModel, separate
 
 _VAL_FRACTION = 0.125  # last eighth of the dataset
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's published defaults
 
 
 class Adam:
-    """Standard Adam with bias correction; operates on a ParamStore."""
+    """Standard Adam with bias correction and the published betas and eps;
+    operates on a ParamStore. Only ``lr`` varies: the training loop sets it
+    from the schedule before every step."""
 
-    def __init__(self, store: ad.ParamStore, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, store: ad.ParamStore, lr: float):
         self.store = store
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = {n: np.zeros_like(t.data) for n, t in store.items()}
         self.v = {n: np.zeros_like(t.data) for n, t in store.items()}
 
     def step(self) -> None:
         self.step_count += 1
-        bc1 = 1.0 - self.beta1 ** self.step_count
-        bc2 = 1.0 - self.beta2 ** self.step_count
+        bc1 = 1.0 - _BETA1 ** self.step_count
+        bc2 = 1.0 - _BETA2 ** self.step_count
         for name, t in self.store.items():
             g = t.grad
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            t.data = t.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * (g * g)
+            t.data = t.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
 
 
 def clip_gradient_norm(store: ad.ParamStore, max_norm: float) -> float:
@@ -100,6 +101,8 @@ def split_dataset(data):
 
 def dataset_loss(model, items) -> float:
     """Mean PIT loss over ``items`` in evaluation mode (no dropout)."""
+    if not items:
+        raise ConfigError("evaluation data is empty")
     total = 0.0
     for mixture, sources in items:
         loss, _ = pit_loss(separate(model, mixture), sources)
@@ -110,6 +113,8 @@ def dataset_loss(model, items) -> float:
 def dataset_si_sdri(model, items) -> float:
     """Mean SI-SDR improvement over ``items``: separated quality under the
     best speaker permutation, minus the unprocessed-mixture baseline."""
+    if not items:
+        raise ConfigError("evaluation data is empty")
     total = 0.0
     pairs = 0
     for mixture, sources in items:
@@ -164,7 +169,7 @@ def train(
             with ad.Tape() as tape:
                 losses = []
                 for mix_b, src_b in batch:
-                    ests = separate(model, mix_b, train=True, rng=rng)
+                    ests = separate(model, mix_b, rng=rng)
                     loss_b, _ = pit_loss(ests, src_b)
                     losses.append(loss_b)
                 loss = losses[0]

@@ -2,10 +2,11 @@
 
 import csv
 import io
+from dataclasses import replace
 
 import pytest
 
-from monosep import ablation, config as cfg_mod, synth
+from monosep import ablation, config as cfg_mod, model, synth
 from monosep.errors import ConfigError
 
 
@@ -38,6 +39,14 @@ class TestSuites:
         by_name = {r.variant: r.n_params for r in report.rows}
         assert by_name["dense_uv"] < by_name["convm"]
         assert by_name["dense_both"] < by_name["dense_qk"]
+
+    def test_params_column_matches_count_parameters(self):
+        report = small_run("convm_vs_dense")
+        base = cfg_mod.preset("tiny")
+        for row, (name, delta) in zip(report.rows,
+                                      ablation.SUITES["convm_vs_dense"]):
+            assert row.variant == name
+            assert row.n_params == model.count_parameters(replace(base, **delta))
 
     def test_unknown_suite(self):
         with pytest.raises(ConfigError, match="unknown ablation suite"):

@@ -40,7 +40,7 @@ PRIMITIVES = {
     "sigmoid": (ad.sigmoid, [(3,)]),
     "silu": (ad.silu, [(3,)]),
     "gelu": (ad.gelu, [(3,)]),
-    "dropout": (lambda a: ad.dropout(a, 0.5, np.random.default_rng(0), True),
+    "dropout": (lambda a: ad.dropout(a, 0.5, np.random.default_rng(0)),
                 [(3,)]),
     "conv1d": (lambda x, w, b: ad.conv1d(x, w, b, stride=2),
                [(9, 2), (3, 2, 3), (3,)]),
@@ -500,19 +500,15 @@ class TestTapeMechanics:
 class TestDropout:
     def test_eval_mode_is_identity(self):
         x = ad.Tensor(np.ones((3, 3)))
-        assert ad.dropout(x, 0.5, None, train=False) is x
+        assert ad.dropout(x, 0.5, None) is x
 
     def test_inverted_scaling_preserves_mean(self):
         rng = np.random.default_rng(9)
         x = ad.Tensor(np.ones((200, 200)))
-        out = ad.dropout(x, 0.25, rng, train=True)
+        out = ad.dropout(x, 0.25, rng)
         kept = out.data[out.data > 0]
         np.testing.assert_allclose(kept, np.full(kept.size, 1.0 / 0.75))
         assert abs(out.data.mean() - 1.0) < 0.02
-
-    def test_train_mode_needs_rng(self):
-        with pytest.raises(ConfigError, match="RNG"):
-            ad.dropout(ad.Tensor(np.ones(3)), 0.5, None, train=True)
 
 
 class TestGradientCheck:

@@ -46,6 +46,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown config key"):
             cli.build_configs({"bogus": "1"})
 
+    @pytest.mark.parametrize("key,value", [
+        ("data_count", "0"), ("data_count", "-2"), ("data_samples", "0"),
+    ])
+    def test_empty_synthetic_data_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            cli.build_configs({key: value})
+
     def test_defaults_without_file(self):
         mcfg, tcfg, data = cli.build_configs({})
         assert mcfg == ModelConfig(preset="tiny")
@@ -132,3 +139,10 @@ class TestCommands:
         code = cli.main(["train", "--set", "nope=1"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_zero_batch_size_exits_2(self, tmp_path, capsys):
+        code = cli.main(["train", "--set", "batch_size=0",
+                         "--out", str(tmp_path / "m.ckpt")])
+        assert code == 2
+        assert "batch_size" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()

@@ -58,17 +58,17 @@ class TestForward:
     def test_eval_mode_bitwise_deterministic(self):
         p, _ = build(dropout_p=0.3)
         x = ad.Tensor(np.random.default_rng(5).normal(size=(8, 6)))
-        a = cm.conv_module_forward(x, p, train=False)
-        b = cm.conv_module_forward(x, p, train=False)
+        a = cm.conv_module_forward(x, p)
+        b = cm.conv_module_forward(x, p)
         assert np.array_equal(a.data, b.data)
 
     def test_train_dropout_reproducible_with_seeded_rng(self):
         p, _ = build(dropout_p=0.5)
         x = ad.Tensor(np.random.default_rng(6).normal(size=(8, 6)))
-        a = cm.conv_module_forward(x, p, train=True, rng=np.random.default_rng(9))
-        b = cm.conv_module_forward(x, p, train=True, rng=np.random.default_rng(9))
+        a = cm.conv_module_forward(x, p, rng=np.random.default_rng(9))
+        b = cm.conv_module_forward(x, p, rng=np.random.default_rng(9))
         assert np.array_equal(a.data, b.data)
-        c = cm.conv_module_forward(x, p, train=True, rng=np.random.default_rng(10))
+        c = cm.conv_module_forward(x, p, rng=np.random.default_rng(10))
         assert not np.array_equal(a.data, c.data)
 
     def test_even_kernel_rejected_at_init(self):
@@ -97,9 +97,8 @@ class TestDense:
         p_dense = cm.init_dense(store, "d", 6, 12, np.random.default_rng(8))
         x = ad.Tensor(np.random.default_rng(9).normal(size=(4, 6)))
         np.testing.assert_array_equal(
-            p_conv(x, True, np.random.default_rng(3)).data,
-            cm.conv_module_forward(x, p_conv, True,
-                                   np.random.default_rng(3)).data,
+            p_conv(x, np.random.default_rng(3)).data,
+            cm.conv_module_forward(x, p_conv, np.random.default_rng(3)).data,
         )
         np.testing.assert_array_equal(
             p_dense(x).data, cm.dense_forward(x, p_dense).data

@@ -139,6 +139,10 @@ class TestPitLoss:
         with pytest.raises(ConfigError, match="at most 4"):
             losses.pit_loss(sig, sig)
 
+    def test_no_speakers_rejected(self):
+        with pytest.raises(ConfigError, match="at least one speaker"):
+            losses.pit_loss([], [])
+
     def test_count_mismatch(self):
         rng = np.random.default_rng(12)
         with pytest.raises(ConfigError, match="estimates"):

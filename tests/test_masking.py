@@ -70,6 +70,20 @@ class TestMaskingNet:
         b = masking.masking_net_forward(feats, m.net)
         assert np.array_equal(a.data, b.data)
 
+    def test_rng_means_training_mode(self):
+        # passing an RNG is what turns dropout on
+        cfg = cfg_mod.preset("tiny", dropout_p=0.5)
+        m = model.build_model(cfg, seed=16)
+        mixture = np.random.default_rng(17).normal(size=300)
+        inference = [t.data for t in model.separate(m, mixture)]
+        first = [t.data for t in
+                 model.separate(m, mixture, rng=np.random.default_rng(1))]
+        again = [t.data for t in
+                 model.separate(m, mixture, rng=np.random.default_rng(1))]
+        assert not np.array_equal(first[0], inference[0])
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a, b)
+
     def test_bad_feature_rank(self):
         m = tiny_model()
         with pytest.raises(ConfigError, match="S, N"):

@@ -218,3 +218,18 @@ class TestTrainLoop:
         model, _ = tiny_setup(seed=10)
         with pytest.raises(ConfigError, match="empty"):
             train.train(model, cfg_mod.TrainConfig(), [])
+
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 0), ("batch_size", -1), ("max_steps", -1),
+    ])
+    def test_invalid_train_config_rejected(self, field, value):
+        model, data = tiny_setup(seed=18)
+        tcfg = cfg_mod.TrainConfig(lr=1e-3, max_epochs=1, **{field: value})
+        with pytest.raises(ConfigError, match=field):
+            train.train(model, tcfg, data)
+
+    @pytest.mark.parametrize("score", ["dataset_loss", "dataset_si_sdri"])
+    def test_empty_evaluation_set_rejected(self, score):
+        model, _ = tiny_setup(seed=19)
+        with pytest.raises(ConfigError, match="empty"):
+            getattr(train, score)(model, [])
