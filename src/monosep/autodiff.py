@@ -19,8 +19,8 @@ primitive.
 Shape conventions follow the rest of the package: sequences are (frames,
 features), and every convolution (``conv1d``, ``transposed_conv1d``,
 ``depthwise_conv1d``) runs over frames with no transpose around it. Element
-precision is whatever dtype the arrays carry; tests use float64, training
-may use float32.
+precision is whatever dtype the arrays carry; models default to float32,
+and ``gradient_check`` needs float64.
 """
 
 from __future__ import annotations
@@ -292,15 +292,19 @@ def pad_axis_end(a, axis: int, extra: int) -> Tensor:
     a = as_tensor(a)
     if extra == 0:
         return a
-    widths = [(0, 0)] * a.data.ndim
-    widths[axis] = (0, extra)
+    keep = [slice(None)] * a.data.ndim
+    keep[axis] = slice(0, a.data.shape[axis])
+    keep = tuple(keep)
+    shape = list(a.data.shape)
+    shape[axis] += extra
+    # zeros plus a slice copy: np.pad's result without its per-call cost
+    out = np.zeros(shape, dtype=a.data.dtype)
+    out[keep] = a.data
 
     def backward(g):
-        idx = [slice(None)] * a.data.ndim
-        idx[axis] = slice(0, a.data.shape[axis])
-        _accum(a, g[tuple(idx)])
+        _accum(a, g[keep])
 
-    return _op(np.pad(a.data, widths), (a,), backward)
+    return _op(out, (a,), backward)
 
 
 def sum_all(a) -> Tensor:
@@ -548,6 +552,14 @@ def transposed_conv1d(x, weight, stride: int) -> Tensor:
 _DEPTHWISE_BLOCK_BYTES = 256 * 1024
 
 
+def _pad_frames(a: np.ndarray, pad: int) -> np.ndarray:
+    """``a`` (L, C) with ``pad`` zero frames on each side: the result of
+    ``np.pad(a, ((pad, pad), (0, 0)))`` without its per-call cost."""
+    out = np.zeros((a.shape[0] + 2 * pad, a.shape[1]), dtype=a.dtype)
+    out[pad : pad + a.shape[0]] = a
+    return out
+
+
 def _depthwise_frames(xp: np.ndarray, taps: np.ndarray, L: int) -> np.ndarray:
     """out[s] = sum_k taps[k] * xp[s + k] for s < L, accumulated in k order.
 
@@ -590,7 +602,7 @@ def depthwise_conv1d(x, weight) -> Tensor:
         raise ConfigError(f"depthwise kernel size must be odd, got {K}")
 
     pad = (K - 1) // 2
-    xp = np.pad(x.data, ((pad, pad), (0, 0)))
+    xp = _pad_frames(x.data, pad)
     taps = np.ascontiguousarray(weight.data.T)
     out_data = _depthwise_frames(xp, taps, L)
 
@@ -603,8 +615,7 @@ def depthwise_conv1d(x, weight) -> Tensor:
         if x.requires_grad:
             # the adjoint of a symmetric same-length correlation is the
             # same correlation with the taps reversed
-            _accum(x, _depthwise_frames(np.pad(g, ((pad, pad), (0, 0))),
-                                        taps[::-1], L))
+            _accum(x, _depthwise_frames(_pad_frames(g, pad), taps[::-1], L))
 
     return _op(out_data, (x, weight), backward)
 
@@ -770,7 +781,11 @@ def gradient_check(
     worst relative error max(|a - n| / max(|a|, |n|, _REL_FLOOR)).
     """
     if params.dtype != np.float64:
-        raise ConfigError("gradient_check requires a float64 ParamStore")
+        raise ConfigError(
+            f"gradient_check requires a float64 ParamStore, got "
+            f"{params.dtype}; build the model with "
+            f"build_model(cfg, dtype=np.float64)"
+        )
     if not 1e-6 <= h <= 1e-4:
         raise ConfigError(f"step size h must lie in [1e-6, 1e-4], got {h}")
 

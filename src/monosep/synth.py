@@ -21,11 +21,15 @@ _NOISE_FLOOR_DB = -30.0
 _N_HARMONICS = 3
 
 
-def draw_fundamentals(rng: np.random.Generator, n_speakers: int) -> list[float]:
+def _check_speakers(n_speakers: int) -> None:
     if not 2 <= n_speakers <= len(SPEAKER_BANDS):
         raise ConfigError(
             f"n_speakers must be in [2, {len(SPEAKER_BANDS)}], got {n_speakers}"
         )
+
+
+def draw_fundamentals(rng: np.random.Generator, n_speakers: int) -> list[float]:
+    _check_speakers(n_speakers)
     return [float(rng.uniform(lo, hi)) for lo, hi in SPEAKER_BANDS[:n_speakers]]
 
 
@@ -49,7 +53,14 @@ def synth_dataset(
     seed: int, count: int, n_speakers: int, n_samples: int,
     sample_rate: int = 8000,
 ) -> list[tuple[np.ndarray, list[np.ndarray]]]:
-    """Returns ``count`` items of (mixture, [source_0, ..., source_{C-1}])."""
+    """Returns ``count`` items of (mixture, [source_0, ..., source_{C-1}]).
+
+    ``n_speakers`` outside the speaker bands or ``n_samples < 1`` raises
+    ``ConfigError``, even when ``count`` is 0.
+    """
+    _check_speakers(n_speakers)
+    if n_samples < 1:
+        raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     items = []
     for _ in range(count):

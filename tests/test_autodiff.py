@@ -221,6 +221,20 @@ def reference_depthwise(x, w):
     return out
 
 
+class TestPadAxisEnd:
+    @pytest.mark.parametrize("axis,extra", [(0, 3), (1, 1), (-1, 5), (0, 0)],
+                             ids=["axis0", "axis1", "axis-1", "none"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_matches_np_pad_bitwise(self, dtype, axis, extra):
+        x = np.random.default_rng(1).normal(size=(4, 3)).astype(dtype)
+        widths = [(0, 0), (0, 0)]
+        widths[axis] = (0, extra)
+        ref = np.pad(x, widths)
+        out = ad.pad_axis_end(ad.Tensor(x), axis, extra).data
+        assert out.dtype == ref.dtype and out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
+
+
 class TestDepthwiseConv1d:
     def test_center_tap_identity(self):
         rng = np.random.default_rng(2)
@@ -269,6 +283,23 @@ class TestDepthwiseConv1d:
         out = ad.depthwise_conv1d(ad.Tensor(x), ad.Tensor(w)).data
         assert out.dtype == dtype
         np.testing.assert_array_equal(out, reference_depthwise(x, w))
+
+    @pytest.mark.parametrize("L,K", [(9, 1), (1, 1), (2, 7), (1, 3), (12, 5)],
+                             ids=["L9K1", "L1K1", "L2K7", "L1K3", "L12K5"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_padding_matches_np_pad_bitwise(self, dtype, L, K):
+        rng = np.random.default_rng(L * 10 + K)
+        x = ad.Tensor(rng.normal(size=(L, 3)).astype(dtype), requires_grad=True)
+        w = rng.normal(size=(3, K)).astype(dtype)
+        g = rng.normal(size=(L, 3)).astype(dtype)
+        with ad.Tape() as tape:
+            out = ad.depthwise_conv1d(x, ad.Tensor(w))
+            tape.backward(ad.sum_all(ad.mul(out, ad.Tensor(g))))
+        ref = reference_depthwise(x.data, w)
+        assert out.data.dtype == ref.dtype and out.data.tobytes() == ref.tobytes()
+        # the x-gradient is the same correlation with the taps reversed
+        ref = reference_depthwise(g, w[:, ::-1])
+        assert x.grad.dtype == ref.dtype and x.grad.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("L", [1, 11], ids=lambda n: f"L{n}")
     @pytest.mark.parametrize("K", [1, 3, 7], ids=lambda k: f"K{k}")

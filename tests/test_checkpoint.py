@@ -183,11 +183,14 @@ class TestErrors:
         raw = bytearray(path.read_bytes())
         header_end = 16 + int.from_bytes(raw[8:16], "little")
         table = json.loads(raw[16:header_end])["params"]
-        # first array of the kind-th section: all NaN
+        # first array of the kind-th section: all NaN, in the stored dtype
         start = header_end + index * sum(
-            int(np.prod(m["shape"])) * 8 for m in table)
-        size = int(np.prod(table[0]["shape"]))
-        raw[start:start + 8 * size] = np.full(size, np.nan).tobytes()
+            int(np.prod(m["shape"])) * np.dtype(m["dtype"]).itemsize
+            for m in table)
+        first = table[0]
+        nan = np.full(int(np.prod(first["shape"])), np.nan,
+                      dtype=np.dtype(first["dtype"])).tobytes()
+        raw[start:start + len(nan)] = nan
         path.write_bytes(bytes(raw))
         name = table[0]["name"]
         with pytest.raises(CheckpointError, match=f"{kind} '{name}'"):

@@ -5,6 +5,7 @@ import pytest
 
 from monosep import cli
 from monosep.audio import read_wav, write_wav
+from monosep.checkpoint import load_checkpoint
 from monosep.config import ModelConfig
 from monosep.errors import ConfigError
 from monosep.synth import synth_dataset
@@ -139,6 +140,25 @@ class TestCommands:
         code = cli.main(["train", "--set", "nope=1"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_train_checkpoint_is_single_precision(self, tmp_path, capsys):
+        cli.main(train_args(tmp_path))
+        ckpt = load_checkpoint(tmp_path / "m.ckpt")
+        assert {a.dtype.str for a in ckpt.params.values()} == {"<f4"}
+        wav = tmp_path / "mix.wav"
+        write_wav(wav, synth_dataset(9, 1, 2, 700)[0][0], 8000)
+        assert cli.main(["separate", str(wav), "--ckpt", str(tmp_path / "m.ckpt"),
+                         "--out-dir", str(tmp_path / "out")]) == 0
+        assert cli.main(["eval", "--ckpt", str(tmp_path / "m.ckpt"),
+                         "--set", "data_count=2", "--set", "data_samples=500"]) == 0
+        assert "si_sdri=" in capsys.readouterr().out
+
+    def test_negative_lr_decay_exits_2(self, tmp_path, capsys):
+        code = cli.main(["train", "--set", "lr_decay=-1",
+                         "--out", str(tmp_path / "m.ckpt")])
+        assert code == 2
+        assert "lr_decay" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_zero_batch_size_exits_2(self, tmp_path, capsys):
         code = cli.main(["train", "--set", "batch_size=0",

@@ -111,6 +111,15 @@ class TestModelAssembly:
         outs = model.separate(m, np.random.default_rng(11).normal(size=200))
         assert all(est.dtype == np.float32 for est in outs)
 
+    def test_default_dtype_is_float32(self):
+        m = model.build_model(cfg_mod.preset("tiny"))
+        assert m.store.dtype == np.float32
+
+    def test_gradient_check_on_default_model_says_how_to_fix(self):
+        m = tiny_model()
+        with pytest.raises(ConfigError, match=r"dtype=np\.float64"):
+            ad.gradient_check(lambda store: ad.sum_all(m.net.out_bias), m.store)
+
     def test_count_parameters_r_doubling(self):
         base = cfg_mod.preset("tiny", dropout_p=0.0)
         doubled = cfg_mod.preset("tiny", dropout_p=0.0, n_blocks=2)
@@ -156,7 +165,9 @@ class TestModelAssembly:
             cfg_mod.preset("XL")
 
     def test_full_model_gradient(self):
-        m = tiny_model(seed=12)
+        # finite differences need double precision; models default to float32
+        m = model.build_model(cfg_mod.preset("tiny", dropout_p=0.0), seed=12,
+                              dtype=np.float64)
         rng = np.random.default_rng(13)
         mixture = rng.normal(size=96) * 0.5
         probe = [rng.normal(size=96) for _ in range(2)]

@@ -51,6 +51,14 @@ class TestSynth:
         with pytest.raises(ConfigError, match="n_speakers"):
             synth.draw_fundamentals(rng, 4)
 
+    @pytest.mark.parametrize("count,n_speakers,n_samples,field", [
+        (1, 2, 0, "n_samples"), (2, 2, -5, "n_samples"),
+        (0, 2, 0, "n_samples"), (0, 0, 100, "n_speakers"),
+    ])
+    def test_empty_request_rejected(self, count, n_speakers, n_samples, field):
+        with pytest.raises(ConfigError, match=field):
+            synth.synth_dataset(0, count, n_speakers, n_samples)
+
 
 class TestAdam:
     def test_matches_reference_update(self):
@@ -221,12 +229,17 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("field,value", [
         ("batch_size", 0), ("batch_size", -1), ("max_steps", -1),
+        ("lr_decay", -1.0), ("lr_decay", 0.0), ("lr_decay", 1.5),
+        ("patience", -3),
     ])
     def test_invalid_train_config_rejected(self, field, value):
         model, data = tiny_setup(seed=18)
         tcfg = cfg_mod.TrainConfig(lr=1e-3, max_epochs=1, **{field: value})
         with pytest.raises(ConfigError, match=field):
             train.train(model, tcfg, data)
+
+    def test_no_decay_and_zero_patience_accepted(self):
+        cfg_mod.TrainConfig(lr_decay=1.0, patience=0).validate()
 
     @pytest.mark.parametrize("score", ["dataset_loss", "dataset_si_sdri"])
     def test_empty_evaluation_set_rejected(self, score):
