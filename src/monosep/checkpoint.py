@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError, DimensionError
 from .model import SeparationModel, build_model
 
 _MAGIC = b"MSEP"
@@ -175,9 +175,17 @@ def _decode(raw: bytes, path) -> Checkpoint:
 
 
 def restore_model(ckpt: Checkpoint) -> SeparationModel:
+    """Build the model ``ckpt.config`` describes and load its parameters; a
+    parameter table that disagrees with the config raises CheckpointError
+    naming the parameter."""
     dtypes = {arr.dtype.base for arr in ckpt.params.values()}
     if len(dtypes) != 1:
         raise CheckpointError(f"mixed parameter dtypes in checkpoint: {dtypes}")
     model = build_model(ckpt.config, dtype=dtypes.pop())
-    model.store.load_state_arrays(ckpt.params)
+    try:
+        model.store.load_state_arrays(ckpt.params)
+    except (ConfigError, DimensionError) as exc:
+        raise CheckpointError(
+            f"parameter table disagrees with the checkpoint's config: {exc}"
+        ) from exc
     return model

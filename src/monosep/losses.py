@@ -15,40 +15,52 @@ _DB_SCALE = 10.0 / math.log(10.0)  # 10 * log10(x) == _DB_SCALE * ln(x)
 _EPS = 1e-8  # si_sdr's energy guard for the metric and the loss
 
 
-def _centered(x) -> ad.Tensor:
-    x = ad.as_tensor(x)
-    return ad.sub(x, ad.mean_all(x))
-
-
-def _energy(x) -> ad.Tensor:
-    return ad.sum_all(ad.mul(x, x))
-
-
 def si_sdr(est, ref, eps: float = _EPS) -> ad.Tensor:
-    """Scale-invariant SDR in dB; differentiable in ``est``.
+    """Scale-invariant SDR in dB, as one primitive differentiable in ``est``.
 
     Both signals are centered first; the reference is then rescaled to the
     projection of the estimate onto it, and the ratio of projection energy
-    to residual energy is reported, with ``eps`` guarding both ends.
+    to residual energy is reported, with ``eps`` guarding both ends. The
+    value is computed in float64 whatever the inputs' dtype; the gradient
+    reaching ``est`` has ``est``'s dtype.
     """
-    est_c = _centered(est)
-    ref_c = _centered(ref)
-    if est_c.shape != ref_c.shape or est_c.ndim != 1:
+    est, ref = ad.as_tensor(est), ad.as_tensor(ref)
+    if est.shape != ref.shape or est.ndim != 1:
         raise ConfigError(
-            f"si_sdr expects matching 1-D signals, got {est_c.shape} "
-            f"and {ref_c.shape}"
+            f"si_sdr expects matching 1-D signals, got {est.shape} "
+            f"and {ref.shape}"
         )
-    if float(np.dot(ref_c.data, ref_c.data)) == 0.0:
+    e = np.asarray(est.data, dtype=np.float64)
+    r = np.asarray(ref.data, dtype=np.float64)
+    e = e - e.mean()
+    r = r - r.mean()
+    if float(np.dot(r, r)) == 0.0:
         raise InvalidReferenceError(
             "reference signal is constant (zero after centering)"
         )
-    alpha = ad.div(ad.sum_all(ad.mul(est_c, ref_c)),
-                   ad.add(_energy(ref_c), eps))
-    target = ad.mul(alpha, ref_c)
-    residual = ad.sub(est_c, target)
-    ratio = ad.div(ad.add(_energy(target), eps),
-                   ad.add(_energy(residual), eps))
-    return ad.mul(ad.log(ratio), _DB_SCALE)
+    rr = (r * r).sum()
+    ref_energy = rr + eps
+    alpha = (e * r).sum() / ref_energy
+    target = alpha * r
+    residual = e - target
+    target_energy = (target * target).sum() + eps
+    residual_energy = (residual * residual).sum() + eps
+    value = np.log(target_energy / residual_energy) * _DB_SCALE
+
+    def backward(g):
+        # d/de of _DB_SCALE * (ln target_energy - ln residual_energy),
+        # where alpha = (e . r) / ref_energy also depends on e
+        d_target = 2.0 * alpha / (ref_energy * target_energy)
+        d_residual = 2.0 / residual_energy
+        ge = r * (d_target * rr
+                  + d_residual * (residual * r).sum() / ref_energy)
+        ge -= d_residual * residual
+        # adjoint of the centering: subtract the mean gradient
+        ge -= ge.mean()
+        ge *= g * _DB_SCALE
+        ad.accumulate_grad(est, ge.astype(est.dtype, copy=False))
+
+    return ad.make_op(value, (est,), backward)
 
 
 def si_sdri(est, mix, ref) -> ad.Tensor:

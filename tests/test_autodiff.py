@@ -319,7 +319,47 @@ class TestDepthwiseConv1d:
         assert ad.gradient_check(f, store, h=1e-5) < 1e-6
 
 
+def reference_layer_norm(x, gain, bias, g, eps=1e-5):
+    """Axis-reduction expressions the matrix-vector kernel replaced:
+    forward output and the gradients of sum(g * out) in x, gain and bias."""
+    mean = x.mean(axis=1, keepdims=True)
+    centered = x - mean
+    var = (centered * centered).mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+    gh = g * gain
+    gx = inv_std * (gh - gh.mean(axis=1, keepdims=True)
+                    - xhat * (gh * xhat).mean(axis=1, keepdims=True))
+    return xhat * gain + bias, gx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
+def max_rel_err(got, want):
+    """Worst error relative to the largest entry, per frame for 2-D arrays
+    so that one large row cannot hide the others."""
+    return float((np.abs(got - want).max(axis=-1)
+                  / np.abs(want).max(axis=-1)).max())
+
+
 class TestLayerNorm:
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12),
+                                           (np.float32, 1e-5)])
+    @pytest.mark.parametrize("width", [16, 32, 512])
+    def test_matches_reduction_expressions(self, dtype, tol, width):
+        rng = np.random.default_rng(width)
+        x = rng.normal(size=(999, width)).astype(dtype)
+        x[7] = 0.3  # a constant row: centred to zero, scaled by 1/sqrt(eps)
+        gain, bias, g = (rng.normal(size=s).astype(dtype)
+                         for s in (width, width, x.shape))
+        want = reference_layer_norm(x, gain, bias, g)
+        tx, tgain, tbias = (ad.Tensor(a, requires_grad=True)
+                            for a in (x, gain, bias))
+        with ad.Tape() as tape:
+            out = ad.layer_norm(tx, tgain, tbias)
+            tape.backward(ad.sum_all(ad.mul(out, ad.Tensor(g))))
+        for got, ref in zip((out.data, tx.grad, tgain.grad, tbias.grad), want):
+            assert got.dtype == dtype
+            assert max_rel_err(got, ref) <= tol
+
     def test_constant_frame_goes_to_zero(self):
         x = ad.Tensor(np.full((1, 4), 5.0))
         out = ad.layer_norm(x, ad.Tensor(np.ones(4)), ad.Tensor(np.zeros(4)), eps=1e-5)
@@ -351,7 +391,32 @@ class TestLayerNorm:
         np.testing.assert_allclose(a, b, atol=1e-8)
 
 
+def reference_logistic_grads(x, g):
+    """The expressions sigmoid and silu computed before they used one
+    buffer: (sigmoid, its x-gradient, silu, its x-gradient)."""
+    s = 1.0 / (1.0 + np.exp(-x))
+    return (s, g * (s * (1.0 - s)),
+            x * s, g * (s * (1.0 + x * (1.0 - s))))
+
+
 class TestActivations:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(), (7,), (33, 5)])
+    def test_logistic_kernels_match_expressions_bitwise(self, dtype, shape):
+        rng = np.random.default_rng(len(shape))
+        x = (4.0 * rng.normal(size=shape)).astype(dtype)
+        g = rng.normal(size=shape).astype(dtype)
+        got = []
+        for fn in (ad.sigmoid, ad.silu):
+            t = ad.Tensor(x, requires_grad=True)
+            with ad.Tape() as tape:
+                out = fn(t)
+                tape.backward(ad.sum_all(ad.mul(out, ad.Tensor(g))))
+            got += [out.data, t.grad]
+        for a, b in zip(got, reference_logistic_grads(x, g)):
+            assert a.dtype == dtype and a.shape == shape
+            assert a.tobytes() == np.asarray(b).tobytes()
+
     def test_relu_squared_values(self):
         out = ad.relu_squared(ad.Tensor(np.array([-2.0, 3.0])))
         np.testing.assert_array_equal(out.data, [0.0, 9.0])
@@ -458,6 +523,25 @@ class TestTapeMechanics:
             loss = ad.sum_all(ad.add(x, b))
             tape.backward(loss)
         np.testing.assert_allclose(b.grad, np.full(4, 5.0))
+
+    @pytest.mark.parametrize("g_shape,shape", [
+        ((40, 6), (6,)),          # a per-feature bias
+        ((3, 4, 5), ()),          # a 3-D tensor reduced to a scalar
+        ((9, 5, 4), (5, 1)),      # leading sum, then a keepdims axis
+        ((0, 5), (5,)),           # zero frames
+        ((3, 0), (0,)),           # zero features: reshape(-1, 0) would fail
+    ])
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12),
+                                           (np.float32, 1e-5)])
+    def test_unbroadcast_matches_np_sum(self, g_shape, shape, dtype, tol):
+        g = np.random.default_rng(3).normal(size=g_shape).astype(dtype)
+        lead = g.sum(axis=tuple(range(g.ndim - len(shape))))
+        axes = tuple(i for i, s in enumerate(shape)
+                     if s == 1 and lead.shape[i] != 1)
+        want = lead.sum(axis=axes, keepdims=True)
+        got = ad._unbroadcast(g, shape)
+        assert got.shape == shape and got.dtype == dtype
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
 
     @pytest.mark.parametrize("name", sorted(PRIMITIVES))
     def test_no_tape_means_no_graph(self, name):

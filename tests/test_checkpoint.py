@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from monosep import checkpoint as ckpt_mod
+from monosep import cli
 from monosep import config as cfg_mod
 from monosep import model as model_mod
 from monosep import synth, train
+from monosep.audio import write_wav
 from monosep.checkpoint import (Checkpoint, load_checkpoint, restore_model,
                                 save_checkpoint)
 from monosep.errors import CheckpointError, ConfigError
@@ -167,6 +169,26 @@ class TestErrors:
                          + raw[header_end:])
         with pytest.raises(CheckpointError, match="softmax"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", ["n_feat=32", "parameter dropped"])
+    def test_parameter_table_disagreeing_with_config(self, tmp_path, case):
+        cfg = cfg_mod.preset("tiny")
+        params = {n: t.data for n, t in
+                  model_mod.build_model(cfg, seed=0).store.items()}
+        if case == "n_feat=32":
+            cfg, name = dataclasses.replace(cfg, n_feat=32), "codec.enc_w"
+        else:
+            name = next(iter(params))
+            del params[name]
+        ckpt = Checkpoint(config=cfg, params=params)
+        with pytest.raises(CheckpointError, match=name):
+            restore_model(ckpt)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, path)
+        wav = tmp_path / "mix.wav"
+        write_wav(wav, synth.synth_dataset(9, 1, 2, 700)[0][0], 8000)
+        assert cli.main(["separate", str(wav), "--ckpt", str(path),
+                         "--out-dir", str(tmp_path / "out")]) == 2
 
     def test_invalid_config_rejected_on_save(self, tmp_path):
         cfg = dataclasses.replace(cfg_mod.preset("tiny"), attention_mode="softmax")

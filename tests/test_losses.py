@@ -7,7 +7,10 @@ import pytest
 
 from monosep import autodiff as ad
 from monosep import losses
+from monosep.config import preset
 from monosep.errors import ConfigError, InvalidReferenceError, NumericalError
+from monosep.model import build_model, separate
+from monosep.synth import synth_dataset
 
 
 def reference_si_sdr(est, ref, eps=1e-8):
@@ -22,7 +25,39 @@ def reference_si_sdr(est, ref, eps=1e-8):
     )
 
 
+def composed_si_sdr(est, ref, eps=1e-8):
+    """SI-SDR as the graph of tape primitives it used to be built from;
+    the fused primitive must reproduce its float64 value bit for bit."""
+    def centered(x):
+        x = ad.as_tensor(x)
+        return ad.sub(x, ad.mean_all(x))
+
+    def energy(x):
+        return ad.sum_all(ad.mul(x, x))
+
+    est_c, ref_c = centered(est), centered(ref)
+    alpha = ad.div(ad.sum_all(ad.mul(est_c, ref_c)),
+                   ad.add(energy(ref_c), eps))
+    target = ad.mul(alpha, ref_c)
+    residual = ad.sub(est_c, target)
+    ratio = ad.div(ad.add(energy(target), eps),
+                   ad.add(energy(residual), eps))
+    return ad.mul(ad.log(ratio), losses._DB_SCALE)
+
+
 class TestSiSdr:
+    @pytest.mark.parametrize("n,noise,eps", [
+        (2, 0.5, 1e-8), (97, 0.01, 1e-8), (4000, 0.7, 1e-8), (4000, 3.0, 0.0),
+    ])
+    def test_float64_value_equals_composed_graph_bitwise(self, n, noise, eps):
+        rng = np.random.default_rng(n)
+        ref = rng.normal(size=n)
+        est = -1.7 * ref + noise * rng.normal(size=n)
+        got = losses.si_sdr(est, ref, eps=eps).data
+        want = composed_si_sdr(est, ref, eps=eps).data
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
     def test_hand_case_zero_db(self):
         # after centering the estimate is the zero vector: both the target
         # and the residual energies vanish and the eps guard gives exactly 1
@@ -172,3 +207,17 @@ class TestPitLoss:
             return losses.pit_loss([p["e0"], p["e1"]], refs)[0]
 
         assert ad.gradient_check(f, store, h=1e-5) < 1e-6
+
+    def test_float32_model_gets_float32_gradients(self):
+        # synth_dataset sources are float64; the loss must not push a
+        # float64 gradient into a float32 model
+        model = build_model(preset("tiny"))
+        mixture, sources = synth_dataset(3, 1, 2, 600)[0]
+        assert sources[0].dtype == np.float64
+        model.store.zero_grad()
+        with ad.Tape() as tape:
+            ests = separate(model, mixture, rng=np.random.default_rng(0))
+            loss, _ = losses.pit_loss(ests, sources)
+            tape.backward(loss)
+        assert all(e.grad.dtype == np.float32 for e in ests)
+        assert all(t.grad.dtype == np.float32 for _, t in model.store.items())
