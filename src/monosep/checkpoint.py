@@ -179,9 +179,12 @@ def restore_model(ckpt: Checkpoint) -> SeparationModel:
     parameter table that disagrees with the config raises CheckpointError
     naming the parameter."""
     dtypes = {arr.dtype.base for arr in ckpt.params.values()}
-    if len(dtypes) != 1:
+    if len(dtypes) > 1:
         raise CheckpointError(f"mixed parameter dtypes in checkpoint: {dtypes}")
-    model = build_model(ckpt.config, dtype=dtypes.pop())
+    # an empty table builds at float32 and fails the table check below,
+    # which names every missing parameter
+    model = build_model(ckpt.config,
+                        dtype=dtypes.pop() if dtypes else np.float32)
     try:
         model.store.load_state_arrays(ckpt.params)
     except (ConfigError, DimensionError) as exc:

@@ -190,6 +190,11 @@ class TestErrors:
         assert cli.main(["separate", str(wav), "--ckpt", str(path),
                          "--out-dir", str(tmp_path / "out")]) == 2
 
+    def test_empty_parameter_table_names_missing(self):
+        ckpt = Checkpoint(config=cfg_mod.preset("tiny"), params={})
+        with pytest.raises(CheckpointError, match="missing=.*codec.enc_w"):
+            restore_model(ckpt)
+
     def test_invalid_config_rejected_on_save(self, tmp_path):
         cfg = dataclasses.replace(cfg_mod.preset("tiny"), attention_mode="softmax")
         ckpt = Checkpoint(config=cfg, params={"a": np.zeros(3)})
