@@ -11,7 +11,6 @@ matrix is ever formed. The joint output is the elementwise sum of the two.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -58,22 +57,6 @@ def rope(x, base: float = 10000.0) -> ad.Tensor:
         ad.accumulate_grad(x, gx)
 
     return ad.make_op(out, [x], backward)
-
-
-@dataclass
-class ChunkPlan:
-    frames: int  # true sequence length S
-    size: int  # chunk length P
-    count: int  # number of chunks H = ceil(S / P)
-    pad: int  # H * P - S, always < P
-
-
-def plan_chunks(frames: int, size: int) -> ChunkPlan:
-    if size < 1:
-        raise ConfigError(f"chunk size must be >= 1, got {size}")
-    count = -(-frames // size)
-    return ChunkPlan(frames=frames, size=size, count=count,
-                     pad=count * size - frames)
 
 
 @dataclass
@@ -152,31 +135,84 @@ def global_attention(q, k, values, gates):
     return branch(values), branch(gates)
 
 
+def _chunk_scores(q3, k3, gamma: float) -> np.ndarray:
+    """relu(q k^T * gamma) for a batch of chunks: q3, k3 (n, m, D) ->
+    (n, m, m). Its square is the chunks' attention weights."""
+    s = np.matmul(q3, k3.transpose(0, 2, 1))
+    s *= gamma
+    return np.maximum(s, 0, out=s)
+
+
 def local_attention(q, k, values, gates, chunk_size: int):
     """Chunked quadratic branch with squared-ReLU scores, built once per
-    chunk and shared by the value and gate paths."""
-    q, k = ad.as_tensor(q), ad.as_tensor(k)
-    frames, dim = q.shape
-    plan = plan_chunks(frames, chunk_size)
+    chunk and shared by the value and gate paths.
 
-    def chunked(x, width):
-        x = ad.pad_axis_end(ad.as_tensor(x), 0, plan.pad)
-        return ad.reshape(x, (plan.count, plan.size, width))
+    One primitive with two outputs, (attended values, attended gates). The
+    whole chunks are one batched GEMM, a ragged last chunk its own, so no
+    zero-padded copy of q, k, values or gates is made; only the chunks'
+    positive scores outlive the forward pass. Both outputs share one
+    backward closure, which runs once, at the first of them the tape
+    reaches with a gradient, and takes an output without one as zero.
+    """
+    if chunk_size < 1:
+        raise ConfigError(f"chunk size must be >= 1, got {chunk_size}")
+    q, k, values, gates = (ad.as_tensor(t) for t in (q, k, values, gates))
+    frames = q.shape[0]
+    whole = frames - frames % chunk_size
+    # (first frame, end frame, chunk length) of the whole chunks and of a
+    # ragged last chunk
+    parts = [(0, whole, chunk_size)] if whole else []
+    if whole < frames:
+        parts.append((whole, frames, frames - whole))
 
-    q3 = chunked(q, dim)
-    k3 = chunked(k, dim)
+    def chunks(a: np.ndarray, lo: int, hi: int, m: int) -> np.ndarray:
+        return a[lo:hi].reshape(-1, m, a.shape[1])
+
+    def attend(weights, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Each part's (n, m, m) weights, or their transposes, times its
+        frames of x (S, W), written into one (S, W) array."""
+        out = np.empty(x.shape, dtype=np.result_type(*weights, x))
+        for w, part in zip(weights, parts):
+            np.matmul(w.transpose(0, 2, 1) if transpose else w,
+                      chunks(x, *part), out=chunks(out, *part))
+        return out
+
     gamma = 1.0 / chunk_size
-    scores = ad.relu_squared(
-        ad.mul(ad.matmul(q3, ad.permute(k3, (0, 2, 1))), gamma)
-    )
+    pos = [_chunk_scores(chunks(q.data, *part), chunks(k.data, *part), gamma)
+           for part in parts]
+    weights = [p * p for p in pos]
+    out_v, out_g = attend(weights, values.data), attend(weights, gates.data)
+    outputs = []
 
-    def branch(x):
-        width = x.shape[1]
-        out = ad.matmul(scores, chunked(x, width))
-        out = ad.reshape(out, (plan.count * plan.size, width))
-        return ad.narrow(out, 0, 0, frames)
+    def backward(_g):
+        if not outputs:  # already ran for the other output
+            return
+        grads = [(x, o.grad) for x, o in zip((values, gates), outputs)
+                 if o.grad is not None]
+        outputs.clear()
+        weights = [p * p for p in pos]
+        for x, g in grads:
+            if x.requires_grad:
+                ad.accumulate_grad(x, attend(weights, g, transpose=True))
+        # d(weights) is the sum over outputs of g x^T per chunk; through
+        # relu(s)^2 and s = gamma q k^T, d(q k^T) = 2 gamma pos d(weights)
+        dscores = []
+        for p, part in zip(pos, parts):
+            d = sum(np.matmul(chunks(g, *part),
+                              chunks(x.data, *part).transpose(0, 2, 1))
+                    for x, g in grads)
+            d *= p
+            d *= 2.0 * gamma
+            dscores.append(d)
+        if q.requires_grad:
+            ad.accumulate_grad(q, attend(dscores, k.data))
+        if k.requires_grad:
+            ad.accumulate_grad(k, attend(dscores, q.data, transpose=True))
 
-    return branch(values), branch(gates)
+    inputs = [q, k, values, gates]
+    outputs += [ad.make_op(out_v, inputs, backward),
+                ad.make_op(out_g, inputs, backward)]
+    return tuple(outputs)
 
 
 def joint_attention(

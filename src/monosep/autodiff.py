@@ -12,9 +12,19 @@ a ``backward(g)`` closure that pushes gradients into its inputs with
 ``_accum``, and returns ``_op(data, inputs, backward)``. ``_op`` is the one
 registration point: it wraps the array and, only when a tape is active and
 some input requires grad, marks the output and appends it to the tape.
-Code outside this module registers fused primitives through ``make_op``.
-``Tensor`` has no operator overloads: every op is a call to a named
-primitive.
+Code outside this module registers fused primitives through ``make_op``;
+a primitive with several outputs registers each one with the same closure,
+which runs once, at the first of them the tape visits with a gradient, and
+reads every output's gradient itself. ``Tensor`` has no operator overloads: every op is
+a call to a named primitive.
+
+Backward consumes the tape, like PyTorch's default (``retain_graph=False``):
+it pops each node, and once the node's closure has run drops its gradient
+and closure, so every array that only backward needed is freed as backward
+goes rather than when the tape is dropped. Non-leaf gradients are not kept;
+leaf tensors (parameters, and inputs made with ``requires_grad=True``
+outside the tape) keep theirs. A second ``backward`` on the same tape
+raises ``TapeError``.
 
 Shape conventions follow the rest of the package: sequences are (frames,
 features), and every convolution (``conv1d``, ``transposed_conv1d``,
@@ -49,7 +59,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericalError
+from .errors import ConfigError, DimensionError, NumericalError, TapeError
 
 # per thread: one thread's forward never records into another thread's tape
 _active_tape: contextvars.ContextVar["Tape | None"] = contextvars.ContextVar(
@@ -99,6 +109,7 @@ class Tape:
     def __init__(self):
         self._nodes: list[Tensor] = []
         self._token: contextvars.Token | None = None
+        self._consumed = False
 
     def __enter__(self) -> "Tape":
         self._token = _active_tape.set(self)
@@ -112,18 +123,33 @@ class Tape:
         return len(self._nodes)
 
     def backward(self, root: Tensor) -> None:
-        """Seed d(root)/d(root) = 1 and visit nodes in reverse execution order."""
+        """Seed d(root)/d(root) = 1 and visit nodes in reverse execution order.
+
+        Backward consumes the tape: each node is popped, and once its
+        closure has run its gradient and closure are dropped, which frees
+        whatever only backward still needed (non-leaf gradients are not
+        kept). Leaf tensors, such as parameters, keep their gradients. A
+        second call raises ``TapeError``.
+        """
+        if self._consumed:
+            raise TapeError("backward already ran on this tape; record a "
+                            "new forward pass under a new Tape")
         if root.data.ndim != 0:
             raise DimensionError(
                 f"backward root must be scalar, got shape {root.data.shape}"
             )
         if not np.isfinite(root.data):
             raise NumericalError(f"backward root is non-finite: {root.data}")
+        self._consumed = True
         seed = np.ones((), dtype=root.data.dtype)
         root.grad = seed if root.grad is None else root.grad + seed
-        for node in reversed(self._nodes):
+        nodes = self._nodes
+        while nodes:
+            node = nodes.pop()
             if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._backward = None
 
 
 def as_tensor(x) -> Tensor:
@@ -491,13 +517,23 @@ def dropout(a, p: float, rng: np.random.Generator | None) -> Tensor:
         return a
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-    keep = (rng.random(a.data.shape) >= p).astype(a.data.dtype)
-    keep /= 1.0 - p
+    # the mask stays bool (a quarter of a float32 mask); times the mask,
+    # then times 1/(1-p) rounded as the float mask rounded it, is bitwise
+    # the product with that float mask of 0 and 1/(1-p), signed zeros
+    # included
+    keep = rng.random(a.data.shape) >= p
+    scale = np.ones((), dtype=a.data.dtype)
+    scale /= 1.0 - p
+
+    def masked(x):
+        out = x * keep
+        out *= scale
+        return out
 
     def backward(g):
-        _accum(a, g * keep)
+        _accum(a, masked(g))
 
-    return _op(a.data * keep, (a,), backward)
+    return _op(masked(a.data), (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +836,8 @@ def linear(x, weight, bias) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# custom op hook (used by rope in the attention module and by si_sdr)
+# custom op hook (used by rope and local_attention in the attention module
+# and by si_sdr)
 # ---------------------------------------------------------------------------
 
 
@@ -809,7 +846,11 @@ def make_op(data: np.ndarray, inputs: Iterable[Tensor],
     """Register a fused primitive: forward result + backward closure.
 
     The closure receives the output gradient and must push gradients into
-    its inputs via ``accumulate_grad``.
+    its inputs via ``accumulate_grad``. A primitive with several outputs
+    registers each with one shared closure, in order, with nothing recorded
+    in between: the tape then visits the last one first, when every
+    output's gradient is complete, so the closure can run once there and
+    read the others' ``grad`` (None means no gradient reached it).
     """
     return _op(data, inputs, backward)
 
@@ -853,9 +894,6 @@ class ParamStore:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def names(self) -> list[str]:
-        return list(self._entries)
 
     def items(self):
         return self._entries.items()

@@ -27,3 +27,7 @@ class WavFormatError(ValueError):
 
 class CheckpointError(ValueError):
     """A checkpoint file is malformed or incompatible with the model config."""
+
+
+class TapeError(RuntimeError):
+    """A tape was used after backward consumed it."""

@@ -1,18 +1,20 @@
 import pytest
 
-from monosep import autodiff as ad
+from monosep import attention as attn
 
 
 @pytest.fixture
 def score_builds(monkeypatch):
-    """Shapes of every ``relu_squared`` call made through the autodiff
-    module; the local attention branch builds its chunk scores with one."""
+    """Shapes of every chunk-score build made by the attention module:
+    local attention builds its whole chunks' scores in one call and a
+    ragged last chunk's in another."""
     shapes = []
-    original = ad.relu_squared
+    original = attn._chunk_scores
 
-    def counting(a):
-        shapes.append(ad.as_tensor(a).shape)
-        return original(a)
+    def counting(q3, k3, gamma):
+        scores = original(q3, k3, gamma)
+        shapes.append(scores.shape)
+        return scores
 
-    monkeypatch.setattr(ad, "relu_squared", counting)
+    monkeypatch.setattr(attn, "_chunk_scores", counting)
     return shapes

@@ -75,12 +75,37 @@ class TestLocalAttention:
         assert np.abs(got_v.data - dense_local_oracle(q, k, v, 8)).max() < 1e-10
         assert np.abs(got_u.data - dense_local_oracle(q, k, u, 8)).max() < 1e-10
 
+    @pytest.mark.parametrize("unused", ["values", "gates", None])
+    def test_gradient_ragged(self, unused):
+        # S=21, P=8: two whole chunks and a ragged one of 5. An unused
+        # output (the value output under single gating) gets no gradient
+        # and counts as zero; with both used, the shared closure must run
+        # once, not once per output
+        store = ad.ParamStore()
+        for name, width, seed in (("q", 4, 62), ("k", 4, 63), ("v", 6, 64),
+                                  ("u", 6, 65)):
+            store.add(name, rand((21, width), seed))
+        probes = [ad.Tensor(rand((21, 6), 66)), ad.Tensor(rand((21, 6), 67))]
+
+        def f(p):
+            outs = attn.local_attention(p["q"], p["k"], p["v"], p["u"],
+                                        chunk_size=8)
+            terms = [ad.sum_all(ad.mul(out, probe))
+                     for name, out, probe in zip(("values", "gates"), outs,
+                                                 probes) if name != unused]
+            return terms[0] if len(terms) == 1 else ad.add(*terms)
+
+        assert ad.gradient_check(f, store, h=1e-5) < 1e-6
+        if unused is not None:
+            assert not store["v" if unused == "values" else "u"].grad.any()
+
     def test_score_matrices_counted_once_per_chunk(self, score_builds):
         q, k = rand((20, 4), 17), rand((20, 4), 18)
         v = rand((20, 6), 19)
         attn.local_attention(q, k, v, v, chunk_size=8)
-        # one (chunks, P, P) score build, ceil(20 / 8) = 3 chunks
-        assert score_builds == [(3, 8, 8)]
+        # one (chunks, P, P) build for the 2 whole chunks of 8 and one for
+        # the ragged last chunk of 4: each chunk's scores are built once
+        assert score_builds == [(2, 8, 8), (1, 4, 4)]
 
 
 class TestGlobalAttention:

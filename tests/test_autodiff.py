@@ -2,13 +2,14 @@
 
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from monosep import autodiff as ad
 from monosep.config import preset
-from monosep.errors import ConfigError, DimensionError
+from monosep.errors import ConfigError, DimensionError, TapeError
 from monosep.model import build_model, separate
 
 
@@ -654,6 +655,29 @@ class TestTapeMechanics:
             with pytest.raises(DimensionError, match="scalar"):
                 tape.backward(y)
 
+    def test_second_backward_raises(self):
+        x = ad.Tensor(np.array(3.0), requires_grad=True)
+        with ad.Tape() as tape:
+            y = ad.mul(x, x)
+            tape.backward(y)
+            with pytest.raises(TapeError, match="already ran"):
+                tape.backward(y)
+        assert x.grad == pytest.approx(6.0)  # counted once
+
+    def test_backward_releases_the_tape(self):
+        x = ad.Tensor(np.linspace(-1.0, 1.0, 50), requires_grad=True)
+        with ad.Tape() as tape:
+            h = ad.relu(ad.mul(x, 2.0))
+            loss = ad.sum_all(ad.mul(h, h))
+            intermediate = weakref.ref(h.data)
+            del h
+            assert len(tape) == 4 and intermediate() is not None
+            tape.backward(loss)
+        assert len(tape) == 0
+        assert intermediate() is None  # freed during backward
+        assert loss.grad is None and loss._backward is None  # non-leaf
+        np.testing.assert_allclose(x.grad, 8.0 * np.maximum(x.data, 0.0))
+
 
 class TestDropout:
     def test_eval_mode_is_identity(self):
@@ -667,6 +691,26 @@ class TestDropout:
         kept = out.data[out.data > 0]
         np.testing.assert_allclose(kept, np.full(kept.size, 1.0 / 0.75))
         assert abs(out.data.mean() - 1.0) < 0.02
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+    def test_bool_mask_matches_float_mask_bitwise(self, dtype, p):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(64, 48)).astype(dtype)
+        x[0, :2] = [0.0, -0.0]
+        g = rng.normal(size=x.shape).astype(dtype)
+        g[1, :2] = [0.0, -0.0]
+        a = ad.Tensor(x, requires_grad=True)
+        with ad.Tape() as tape:
+            out = ad.dropout(a, p, np.random.default_rng(11))
+            tape.backward(ad.sum_all(ad.mul(out, ad.Tensor(g))))
+        # the float-mask formula, same draws: dropped entries of negative
+        # inputs and gradients are -0.0
+        keep = (np.random.default_rng(11).random(x.shape) >= p).astype(dtype)
+        keep /= 1.0 - p
+        assert out.data.dtype == dtype and a.grad.dtype == dtype
+        assert out.data.tobytes() == (x * keep).tobytes()
+        assert a.grad.tobytes() == (g * keep).tobytes()
 
 
 class TestGradientCheck:

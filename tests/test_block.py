@@ -73,11 +73,11 @@ class TestBlockForward:
 
     def test_scores_computed_once_per_chunk(self, score_builds):
         p, _ = build(seed=9)
-        x = rand((20, 6), 10)  # 3 chunks of 8
+        x = rand((20, 6), 10)  # 2 chunks of 8 and a ragged one of 4
         block_forward(x, p)
-        # one score build for the single local_attention call, shared by the
-        # value and gate paths
-        assert score_builds == [(3, 8, 8)]
+        # one score build per chunk for the single local_attention call,
+        # shared by the value and gate paths
+        assert score_builds == [(2, 8, 8), (1, 4, 4)]
 
     @pytest.mark.parametrize("phi", ["relu", "gelu", "swish", "bilinear",
                                      "sigmoid"])

@@ -77,6 +77,26 @@ class TestForward:
             cm.init_conv_module(store, "m", 4, 8, 4, 0.0, np.random.default_rng(0))
 
 
+class TestSkipFold:
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-13),
+                                           (np.float32, 1e-5)])
+    @pytest.mark.parametrize("kernel", [1, 7, 31])
+    def test_matches_skip_plus_depthwise(self, kernel, dtype, tol):
+        # the skip folded into the centre tap against y0 + depthwise(y0)
+        store = ad.ParamStore(dtype)
+        rng = np.random.default_rng(kernel)
+        p = cm.init_conv_module(store, "m", 16, 24, kernel, 0.0, rng)
+        x = ad.Tensor(rng.normal(size=(70, 16)).astype(dtype))
+        y0 = ad.silu(ad.linear(ad.layer_norm(x, p.norm_gain, p.norm_bias),
+                               p.proj_weight, p.proj_bias))
+        want = ad.add(y0, ad.depthwise_conv1d(y0, p.dw_weight)).data
+        got = cm.conv_module_forward(x, p).data
+        assert got.dtype == dtype
+        # worst error relative to each frame's largest entry
+        err = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+        assert err.max() <= tol
+
+
 class TestDense:
     def test_norm_and_projection_only(self):
         store = ad.ParamStore()

@@ -219,5 +219,12 @@ class TestPitLoss:
             ests = separate(model, mixture, rng=np.random.default_rng(0))
             loss, _ = losses.pit_loss(ests, sources)
             tape.backward(loss)
-        assert all(e.grad.dtype == np.float32 for e in ests)
         assert all(t.grad.dtype == np.float32 for _, t in model.store.items())
+        # backward keeps no gradient of a non-leaf tensor, so the estimates'
+        # own gradients are read from float32 leaves holding the same values
+        leaves = [ad.Tensor(e.data, requires_grad=True) for e in ests]
+        assert all(e.dtype == np.float32 for e in leaves)
+        with ad.Tape() as tape:
+            loss, _ = losses.pit_loss(leaves, sources)
+            tape.backward(loss)
+        assert all(e.grad.dtype == np.float32 for e in leaves)

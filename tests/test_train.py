@@ -181,14 +181,14 @@ class TestTrainLoop:
         tcfg = cfg_mod.TrainConfig(lr=2e-3, max_epochs=6, seed=9)
         ckpt = train.train(model, tcfg, data)
         assert np.isfinite(ckpt.best_val)
-        assert set(ckpt.params) == set(model.store.names())
+        assert set(ckpt.params) == {name for name, _ in model.store.items()}
         assert ckpt.adam_m is not None and ckpt.adam_v is not None
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_gradient_stops_before_update(self, monkeypatch, bad):
         model, data = tiny_setup(seed=12)
         store = model.store
-        poisoned = store.names()[3]
+        poisoned = [name for name, _ in store.items()][3]
         before = {n: t.data.copy() for n, t in store.items()}
         backward = ad.Tape.backward
 
