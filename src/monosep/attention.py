@@ -225,12 +225,17 @@ def joint_attention(
     sums the local and global branch outputs elementwise; the *_only modes
     return a single branch for ablations.
     """
-    shared = p.shared(x, rng)
-    q_loc, k_loc, q_glob, k_glob = derive_qk(shared, p)
+    q_loc, k_loc, q_glob, k_glob = derive_qk(p.shared(x, rng), p)
     if p.mode == "local_only":
         return local_attention(q_loc, k_loc, values, gates, p.chunk_size)
     if p.mode == "global_only":
         return global_attention(q_glob, k_glob, values, gates)
+    # drop each q/k pair and branch output once nothing later reads it:
+    # without a tape (inference) its array is freed there and then
     lv, lg = local_attention(q_loc, k_loc, values, gates, p.chunk_size)
+    del q_loc, k_loc
     gv, gg = global_attention(q_glob, k_glob, values, gates)
-    return ad.add(lv, gv), ad.add(lg, gg)
+    del q_glob, k_glob
+    out_v = ad.add(lv, gv)
+    del lv, gv
+    return out_v, ad.add(lg, gg)

@@ -866,10 +866,14 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
 
 
 class ParamStore:
-    """Named trainable tensors with paired gradient slots.
+    """Named trainable tensors with gradient slots allocated on demand.
 
     Names are unique and hierarchical ("block0.convm_u.proj_w"); every entry
-    requires grad and keeps a gradient of the same shape as its value.
+    requires grad. ``add`` leaves ``grad`` as ``None``, so a model that only
+    runs forward (``separate``) holds its weights and nothing else;
+    ``zero_grad`` gives every entry a zero gradient of its value's shape,
+    and a backward pass without it writes a gradient only into the entries
+    on the path to the loss.
     """
 
     def __init__(self, dtype=np.float64):
@@ -877,12 +881,15 @@ class ParamStore:
         self._entries: dict[str, Tensor] = {}
 
     def add(self, name: str, value) -> Tensor:
+        """Register a copy of ``value`` in the store's dtype as ``name``."""
+        # np.array rather than ascontiguousarray: the latter turns 0-d into (1,)
+        return self._register(name, np.array(value, dtype=self.dtype,
+                                             order="C"))
+
+    def _register(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._entries:
             raise ConfigError(f"duplicate parameter name {name!r}")
-        # np.array rather than ascontiguousarray: the latter turns 0-d into (1,)
-        t = Tensor(np.array(value, dtype=self.dtype, order="C"),
-                   requires_grad=True, name=name)
-        t.grad = np.zeros_like(t.data)
+        t = Tensor(data, requires_grad=True, name=name)
         self._entries[name] = t
         return t
 
@@ -911,21 +918,6 @@ class ParamStore:
             if t.grad is not None:
                 total += float(np.dot(t.grad.ravel(), t.grad.ravel()))
         return math.sqrt(total)
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        missing = set(self._entries) - set(arrays)
-        extra = set(arrays) - set(self._entries)
-        if missing or extra:
-            raise ConfigError(
-                f"parameter set mismatch: missing={sorted(missing)} extra={sorted(extra)}"
-            )
-        for n, t in self._entries.items():
-            src = np.asarray(arrays[n], dtype=self.dtype)
-            if src.shape != t.data.shape:
-                raise DimensionError(
-                    f"parameter {n!r} shape mismatch: {src.shape} vs {t.data.shape}"
-                )
-            t.data = np.ascontiguousarray(src)
 
 
 # ---------------------------------------------------------------------------

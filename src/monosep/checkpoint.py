@@ -12,15 +12,23 @@ Layout (all integers little-endian):
                  second Adam moments in the same order when present
 
 Saving validates the model config, refuses non-finite arrays, and is atomic
-(write to a temp file, then rename). Loading verifies the magic, version,
-payload length, model config and that every array is finite, raises
-CheckpointError for any malformed file, and reproduces arrays bit-exactly.
+(write to a temp file, then rename); every array is checked before the temp
+file exists, then each one's bytes are written straight from the array.
+Loading verifies the magic, version, payload length (against the file size,
+before any array is allocated), model config and that every array is
+finite, raises CheckpointError for any malformed file, and reproduces
+arrays bit-exactly. Each data section (parameters, first moments, second
+moments) is read into its own buffer and its arrays are aligned, writeable
+views of that buffer, so the file is never held in memory as a whole and a
+model restored from the parameters does not keep the moments alive.
+``restore_model`` adopts the parameter arrays as they are, without a copy.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 import tempfile
@@ -28,12 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .config import ModelConfig
-from .errors import CheckpointError, ConfigError, DimensionError
-from .model import SeparationModel, build_model
+from .errors import CheckpointError
+from .model import SeparationModel, init_model
 
 _MAGIC = b"MSEP"
 _VERSION = 1
+_PREAMBLE = 16  # magic, version, header length
 
 
 @dataclass
@@ -66,13 +76,13 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     ckpt.config.validate()
     names = list(ckpt.params)
     table = []
-    blobs = []
+    stored = []
 
     def push(arrays, kind, name):
         arr = np.asarray(arrays[name])
         arr = np.ascontiguousarray(arr, dtype=_le_dtype(arr))
         _check_finite(arr, f"{kind} {name!r}")
-        blobs.append(arr.tobytes())
+        stored.append(arr)
         return arr
 
     for name in names:
@@ -99,7 +109,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "params": table,
     }).encode("utf-8")
 
-    payload = b"".join(blobs)
     path = str(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                prefix=".ckpt-")
@@ -108,7 +117,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             out.write(_MAGIC)
             out.write(struct.pack("<IQ", _VERSION, len(header)))
             out.write(header)
-            out.write(payload)
+            for arr in stored:
+                out.write(arr)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -119,51 +129,61 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint file; any malformed content raises CheckpointError."""
     with open(str(path), "rb") as f:
-        raw = f.read()
-    try:
-        return _decode(raw, path)
-    except CheckpointError:
-        raise
-    except (ValueError, KeyError, TypeError, AttributeError,
-            OverflowError) as exc:
-        # JSONDecodeError and UnicodeDecodeError are ValueErrors
-        raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
+        try:
+            return _read(f, path)
+        except CheckpointError:
+            raise
+        except (ValueError, KeyError, TypeError, AttributeError,
+                OverflowError) as exc:
+            # JSONDecodeError and UnicodeDecodeError are ValueErrors
+            raise CheckpointError(
+                f"{path}: malformed checkpoint: {exc}") from exc
 
 
-def _decode(raw: bytes, path) -> Checkpoint:
-    if raw[:4] != _MAGIC:
+def _read(f, path) -> Checkpoint:
+    preamble = f.read(_PREAMBLE)
+    if preamble[:4] != _MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    if len(raw) < 16:
+    if len(preamble) < _PREAMBLE:
         raise CheckpointError(f"{path}: truncated checkpoint preamble")
-    version, header_len = struct.unpack("<IQ", raw[4:16])
+    version, header_len = struct.unpack("<IQ", preamble[4:])
     if version != _VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {version}"
         )
-    header = json.loads(raw[16:16 + header_len].decode("utf-8"))
-    offset = 16 + header_len
+    file_size = os.fstat(f.fileno()).st_size
+    if _PREAMBLE + header_len > file_size:
+        raise CheckpointError(f"{path}: truncated checkpoint header")
+    header = json.loads(f.read(header_len).decode("utf-8"))
+    config = ModelConfig(**header["config"]).validate()
 
-    def take(meta, kind):
-        nonlocal offset
-        dt = np.dtype(meta["dtype"])
-        n = int(np.prod(meta["shape"])) if meta["shape"] else 1
-        end = offset + n * dt.itemsize
-        if end > len(raw):
-            raise CheckpointError(f"{path}: truncated checkpoint payload")
-        arr = np.frombuffer(raw[offset:end], dtype=dt).reshape(meta["shape"])
-        offset = end
-        _check_finite(arr, f"{path}: {kind} {meta['name']!r}")
-        return arr.copy()
-
-    params = {m["name"]: take(m, "parameter") for m in header["params"]}
-    adam_m = adam_v = None
-    if header["has_moments"]:
-        adam_m = {m["name"]: take(m, "adam_m") for m in header["params"]}
-        adam_v = {m["name"]: take(m, "adam_v") for m in header["params"]}
-    if offset != len(raw):
+    # (name, dtype, shape, byte offset in its section) of every array
+    layout = []
+    section_len = 0
+    for meta in header["params"]:
+        dt, shape = np.dtype(meta["dtype"]), tuple(meta["shape"])
+        if dt.kind != "f" or not all(
+                type(d) is int and d >= 0 for d in shape):
+            raise CheckpointError(
+                f"{path}: bad table entry for {meta['name']!r}: "
+                f"dtype {meta['dtype']!r}, shape {meta['shape']!r}")
+        layout.append((meta["name"], dt, shape, section_len))
+        section_len += math.prod(shape) * dt.itemsize
+    has_moments = bool(header["has_moments"])
+    payload_len = file_size - _PREAMBLE - header_len
+    expected = (3 if has_moments else 1) * section_len
+    if payload_len < expected:
+        raise CheckpointError(f"{path}: truncated checkpoint payload")
+    if payload_len > expected:
         raise CheckpointError(f"{path}: trailing bytes after payload")
+
+    params = _read_section(f, path, "parameter", layout, section_len)
+    adam_m = adam_v = None
+    if has_moments:
+        adam_m = _read_section(f, path, "adam_m", layout, section_len)
+        adam_v = _read_section(f, path, "adam_v", layout, section_len)
     return Checkpoint(
-        config=ModelConfig(**header["config"]).validate(),
+        config=config,
         params=params,
         adam_m=adam_m,
         adam_v=adam_v,
@@ -174,21 +194,73 @@ def _decode(raw: bytes, path) -> Checkpoint:
     )
 
 
+def _read_section(f, path, kind: str, layout, section_len: int) -> dict:
+    """One section's arrays as views of a buffer of its own; an array whose
+    offset is not a multiple of its itemsize (a mixed f4/f8 table) is
+    copied out so every returned array is aligned."""
+    buf = np.empty(section_len, dtype=np.uint8)
+    if f.readinto(buf) != section_len:
+        raise CheckpointError(f"{path}: truncated checkpoint payload")
+    arrays = {}
+    for name, dt, shape, offset in layout:
+        end = offset + math.prod(shape) * dt.itemsize
+        arr = buf[offset:end].view(dt).reshape(shape)
+        if offset % dt.itemsize:
+            arr = arr.copy()
+        _check_finite(arr, f"{path}: {kind} {name!r}")
+        arrays[name] = arr
+    return arrays
+
+
+class _AdoptingStore(ad.ParamStore):
+    """The store ``restore_model`` builds into: ``add`` registers the
+    table's array under each name, without a copy, in place of the
+    initializer's draw, and notes each name it cannot adopt so that
+    ``check_table`` can report all of them."""
+
+    def __init__(self, dtype, table: dict[str, np.ndarray]):
+        super().__init__(dtype)
+        self.table = table
+        self.missing: list[str] = []
+        self.misfit: str | None = None  # the first shape mismatch
+
+    def add(self, name: str, value) -> ad.Tensor:
+        if name not in self.table:
+            self.missing.append(name)
+            return super().add(name, value)
+        arr = np.asarray(self.table[name], dtype=self.dtype, order="C")
+        if arr.shape != np.shape(value):
+            self.misfit = self.misfit or (
+                f"parameter {name!r} shape mismatch: "
+                f"{arr.shape} vs {np.shape(value)}")
+            return super().add(name, value)
+        return self._register(name, arr)
+
+    def check_table(self) -> None:
+        extra = set(self.table) - {name for name, _ in self.items()}
+        if self.missing or extra:
+            problem = (f"parameter set mismatch: missing={sorted(self.missing)}"
+                       f" extra={sorted(extra)}")
+        else:
+            problem = self.misfit
+        self.table = {}  # the model keeps its arrays, not the caller's dict
+        if problem:
+            raise CheckpointError(
+                f"parameter table disagrees with the checkpoint's config: "
+                f"{problem}")
+
+
 def restore_model(ckpt: Checkpoint) -> SeparationModel:
-    """Build the model ``ckpt.config`` describes and load its parameters; a
-    parameter table that disagrees with the config raises CheckpointError
-    naming the parameter."""
+    """Build the model ``ckpt.config`` describes on ``ckpt.params`` (the
+    arrays themselves, not copies); a parameter table that disagrees with
+    the config raises CheckpointError naming the parameter."""
     dtypes = {arr.dtype.base for arr in ckpt.params.values()}
     if len(dtypes) > 1:
         raise CheckpointError(f"mixed parameter dtypes in checkpoint: {dtypes}")
-    # an empty table builds at float32 and fails the table check below,
-    # which names every missing parameter
-    model = build_model(ckpt.config,
-                        dtype=dtypes.pop() if dtypes else np.float32)
-    try:
-        model.store.load_state_arrays(ckpt.params)
-    except (ConfigError, DimensionError) as exc:
-        raise CheckpointError(
-            f"parameter table disagrees with the checkpoint's config: {exc}"
-        ) from exc
+    # an empty table builds at float32 and fails the table check, which
+    # names every missing parameter
+    store = _AdoptingStore(dtypes.pop() if dtypes else np.float32,
+                           ckpt.params)
+    model = init_model(store, ckpt.config)
+    store.check_table()
     return model

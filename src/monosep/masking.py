@@ -4,6 +4,7 @@ speakers, gated linear unit, output projection, ReLU)."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,9 +16,11 @@ from .config import ModelConfig
 from .errors import ConfigError
 
 
-def positional_encoding(n_pos: int, dim: int) -> np.ndarray:
+@functools.lru_cache(maxsize=1)  # one (S, N, dtype) regime stays resident
+def positional_encoding(n_pos: int, dim: int, dtype=np.float64) -> np.ndarray:
     """Absolute sinusoidal encodings: pe[m, 2j] = sin(m / 10000^(2j/dim)),
-    pe[m, 2j+1] = cos of the same angle."""
+    pe[m, 2j+1] = cos of the same angle, computed in float64 and cast to
+    ``dtype``. The table is read-only: every caller shares it."""
     if dim % 2 != 0:
         raise ConfigError(f"positional encoding needs an even dim, got {dim}")
     inv_freq = 10000.0 ** (-np.arange(0, dim, 2) / dim)
@@ -25,6 +28,8 @@ def positional_encoding(n_pos: int, dim: int) -> np.ndarray:
     pe = np.empty((n_pos, dim))
     pe[:, 0::2] = np.sin(angles)
     pe[:, 1::2] = np.cos(angles)
+    pe = pe.astype(dtype, copy=False)
+    pe.flags.writeable = False
     return pe
 
 
@@ -94,7 +99,7 @@ def masking_net_forward(
             f"masking net expects features (S, N), got shape {features.shape}"
         )
     n_frames, n_feat = features.shape
-    pe = positional_encoding(n_frames, n_feat).astype(features.dtype)
+    pe = positional_encoding(n_frames, n_feat, features.dtype)
     x = ad.add(ad.layer_norm(features, p.norm_gain, p.norm_bias),
                ad.Tensor(pe))
     x = ad.linear(x, p.in_weight, p.in_bias)

@@ -29,8 +29,14 @@ def build_model(cfg: ModelConfig, seed: int = 0,
                 dtype=np.float32) -> SeparationModel:
     """Single precision unless asked otherwise; a model for
     ``ad.gradient_check`` must be built with ``dtype=np.float64``."""
+    return init_model(ad.ParamStore(dtype=dtype), cfg, seed)
+
+
+def init_model(store: ad.ParamStore, cfg: ModelConfig,
+               seed: int = 0) -> SeparationModel:
+    """Add every parameter of ``cfg``'s model to ``store``, initialized
+    from ``seed``, and return the model built on them."""
     cfg.validate()
-    store = ad.ParamStore(dtype=dtype)
     rng = np.random.default_rng(seed)
     codec = init_codec(store, "codec", cfg.n_feat, cfg.enc_kernel, rng)
     net = init_masking_net(store, "net", cfg, rng)

@@ -21,7 +21,9 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's published defaults
 class Adam:
     """Standard Adam with bias correction and the published betas and eps;
     operates on a ParamStore. Only ``lr`` varies: the training loop sets it
-    from the schedule before every step."""
+    from the schedule before every step. A parameter whose ``grad`` is
+    ``None`` (never zeroed, and no backward pass reached it) is skipped,
+    its moments untouched, as ``torch.optim`` does."""
 
     def __init__(self, store: ad.ParamStore, lr: float):
         self.store = store
@@ -36,6 +38,8 @@ class Adam:
         bc2 = 1.0 - _BETA2 ** self.step_count
         for name, t in self.store.items():
             g = t.grad
+            if g is None:
+                continue
             m = self.m[name]
             v = self.v[name]
             m *= _BETA1
@@ -47,7 +51,8 @@ class Adam:
 
 def clip_gradient_norm(store: ad.ParamStore, max_norm: float) -> float:
     """Scale all trainable gradients so their global norm is at most
-    ``max_norm``; returns the pre-clip norm. A non-finite norm raises
+    ``max_norm``; returns the pre-clip norm. A parameter whose ``grad`` is
+    ``None`` counts for nothing and stays ``None``. A non-finite norm raises
     ``NumericalError`` before any gradient is touched."""
     norm = store.grad_norm()
     if not math.isfinite(norm):
@@ -59,7 +64,8 @@ def clip_gradient_norm(store: ad.ParamStore, max_norm: float) -> float:
     if norm > max_norm:
         scale = max_norm / norm
         for _, t in store.items():
-            t.grad = t.grad * scale
+            if t.grad is not None:
+                t.grad = t.grad * scale
     return norm
 
 

@@ -800,8 +800,9 @@ class TestParamStore:
     def test_grad_slots_pair_values(self):
         store = ad.ParamStore()
         t = store.add("w", np.ones((3, 4)))
-        assert t.grad.shape == t.data.shape
+        assert t.grad is None  # allocated on demand, not by add
         store.zero_grad()
+        assert t.grad.shape == t.data.shape and t.grad.dtype == t.data.dtype
         assert np.all(t.grad == 0)
 
     def test_total_scalars_and_norm(self):

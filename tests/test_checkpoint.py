@@ -1,7 +1,10 @@
 """Checkpoint format round-trip and error handling."""
 
 import dataclasses
+import gc
 import json
+import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -69,7 +72,8 @@ class TestRoundTrip:
         restored = restore_model(load_checkpoint(path))
 
         # the in-memory model drifted past the best epoch; load its snapshot
-        model.store.load_state_arrays(ckpt.params)
+        for name, t in model.store.items():
+            t.data = ckpt.params[name]
         mixture = synth.synth_dataset(99, 1, 2, 500)[0][0]
         before = [t.data for t in model_mod.separate(model, mixture)]
         after = [t.data for t in model_mod.separate(restored, mixture)]
@@ -100,6 +104,153 @@ class TestRoundTrip:
         restored = restore_model(load_checkpoint(path))
         assert all(t.data.dtype == np.float32
                    for _, t in restored.store.items())
+
+
+def version1_bytes(ckpt):
+    """The version-1 file for ``ckpt``, encoded independently of
+    save_checkpoint: the whole payload joined from each array's bytes."""
+    def stored(arr):
+        arr = np.asarray(arr)
+        return np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+
+    names = list(ckpt.params)
+    has_moments = ckpt.adam_m is not None and ckpt.adam_v is not None
+    sections = [ckpt.params] + ([ckpt.adam_m, ckpt.adam_v]
+                                if has_moments else [])
+    header = json.dumps({
+        "config": dataclasses.asdict(ckpt.config),
+        "epoch": ckpt.epoch,
+        "best_val": ckpt.best_val,
+        "adam_step": ckpt.adam_step,
+        "rng_state": ckpt.rng_state,
+        "has_moments": has_moments,
+        "params": [{"name": n, "shape": list(stored(ckpt.params[n]).shape),
+                    "dtype": stored(ckpt.params[n]).dtype.str}
+                   for n in names],
+    }).encode("utf-8")
+    return (b"MSEP" + struct.pack("<IQ", 1, len(header)) + header
+            + b"".join(stored(sec[n]).tobytes()
+                       for sec in sections for n in names))
+
+
+def assert_bit_exact(got: dict, want: dict):
+    assert list(got) == list(want)
+    for name, arr in want.items():
+        ref = np.asarray(arr)
+        ref = ref.astype(ref.dtype.newbyteorder("<"))
+        assert got[name].dtype == ref.dtype and got[name].shape == ref.shape
+        assert got[name].tobytes() == ref.tobytes(), name
+
+
+class TestFormatCompatibility:
+    @pytest.mark.parametrize("moments", [False, True],
+                             ids=["params", "with_moments"])
+    def test_files_match_the_version1_encoding(self, tmp_path, moments):
+        _, ckpt = trained_checkpoint(seed=7)
+        if not moments:
+            ckpt = dataclasses.replace(ckpt, adam_m=None, adam_v=None)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        assert path.read_bytes() == version1_bytes(ckpt)
+
+    def test_version1_bytes_load_bit_exactly(self, tmp_path):
+        _, ckpt = trained_checkpoint(seed=8)
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(version1_bytes(ckpt))
+        loaded = load_checkpoint(path)
+        for section in ("params", "adam_m", "adam_v"):
+            assert_bit_exact(getattr(loaded, section), getattr(ckpt, section))
+        assert loaded.rng_state == ckpt.rng_state
+
+    def test_mixed_and_big_endian_round_trip(self, tmp_path):
+        rng = np.random.default_rng(0)
+        params = {
+            "odd_f4": rng.standard_normal(3).astype(np.float32),
+            "f8": rng.standard_normal((2, 5)),  # section offset 12
+            "big_endian": rng.standard_normal(7).astype(">f8"),
+            "f4": rng.standard_normal((4, 3)).astype(np.float32),
+        }
+        ckpt = Checkpoint(config=cfg_mod.preset("tiny"), params=params,
+                          adam_m={n: a * 2 for n, a in params.items()},
+                          adam_v={n: a * a for n, a in params.items()})
+        path = tmp_path / "mixed.ckpt"
+        save_checkpoint(ckpt, path)
+        assert path.read_bytes() == version1_bytes(ckpt)
+        loaded = load_checkpoint(path)
+        for section in ("params", "adam_m", "adam_v"):
+            got = getattr(loaded, section)
+            assert_bit_exact(got, getattr(ckpt, section))
+            assert all(a.flags.aligned for a in got.values())
+
+    def test_huge_table_rejected_before_allocating(self, tmp_path):
+        raw = bytearray(version1_bytes(Checkpoint(
+            config=cfg_mod.preset("tiny"), params={"a": np.zeros(3)})))
+        header_end = 16 + int.from_bytes(raw[8:16], "little")
+        header = json.loads(raw[16:header_end])
+        header["params"][0]["shape"] = [2 ** 40, 2 ** 20]
+        blob = json.dumps(header).encode("utf-8")
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob
+                         + raw[header_end:])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+
+class TestAdoption:
+    """restore_model holds one copy of the weights and no training state."""
+
+    def saved(self, tmp_path, seed=9):
+        _, ckpt = trained_checkpoint(seed=seed)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        return path
+
+    def test_separate_allocates_no_gradients(self, tmp_path):
+        model = restore_model(load_checkpoint(self.saved(tmp_path)))
+        model_mod.separate(model, synth.synth_dataset(1, 1, 2, 500)[0][0])
+        assert all(t.grad is None for _, t in model.store.items())
+
+    def test_params_are_the_loaded_arrays(self, tmp_path):
+        loaded = load_checkpoint(self.saved(tmp_path))
+        model = restore_model(loaded)
+        for name, t in model.store.items():
+            assert t.data is loaded.params[name]
+            assert not np.shares_memory(t.data, loaded.adam_m[name])
+            assert not np.shares_memory(t.data, loaded.adam_v[name])
+        buffers = [next(iter(getattr(loaded, s).values())).base
+                   for s in ("params", "adam_m", "adam_v")]
+        assert all(np.shares_memory(a, buffers[0])
+                   for a in loaded.params.values())
+        assert not any(np.shares_memory(a, b) for a in buffers
+                       for b in buffers if a is not b)
+
+    def test_loaded_arrays_are_ready_for_training(self, tmp_path):
+        loaded = load_checkpoint(self.saved(tmp_path))
+        for section in (loaded.params, loaded.adam_m, loaded.adam_v):
+            for arr in section.values():
+                flags = arr.flags
+                assert flags.aligned and flags.c_contiguous and flags.writeable
+        model = restore_model(loaded)
+        before = {n: t.data.copy() for n, t in model.store.items()}
+        tcfg = cfg_mod.TrainConfig(lr=1e-3, max_epochs=1, max_steps=1)
+        train.train(model, tcfg, synth.synth_dataset(3, 2, 2, 400))
+        assert any(not np.array_equal(t.data, before[n])
+                   for n, t in model.store.items())
+
+    def test_section_buffer_freed_without_collection(self, tmp_path):
+        loaded = load_checkpoint(self.saved(tmp_path))
+        model = restore_model(loaded)
+        model_mod.separate(model, synth.synth_dataset(1, 1, 2, 500)[0][0])
+        refs = [weakref.ref(next(iter(getattr(loaded, s).values())).base)
+                for s in ("params", "adam_m", "adam_v")]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del model, loaded
+            assert all(ref() is None for ref in refs)
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestErrors:

@@ -28,6 +28,30 @@ class TestPositionalEncoding:
         with pytest.raises(ConfigError, match="even"):
             masking.positional_encoding(4, 5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cached_read_only_table(self, dtype):
+        n_pos, dim = 50, 8
+        pe = masking.positional_encoding(n_pos, dim, np.dtype(dtype))
+        angles = (np.arange(n_pos)[:, None]
+                  * 10000.0 ** (-np.arange(0, dim, 2) / dim))
+        want = np.empty((n_pos, dim))
+        want[:, 0::2], want[:, 1::2] = np.sin(angles), np.cos(angles)
+        assert pe.dtype == dtype and not pe.flags.writeable
+        assert pe.tobytes() == want.astype(dtype).tobytes()
+        with pytest.raises(ValueError):
+            pe[0, 0] = 1.0
+
+        # every forward of the same (S, N, dtype) reads the one table
+        m = tiny_model()
+        features = model.encode_features(m, np.zeros(400))
+        masking.masking_net_forward(features, m.net)
+        table = masking.positional_encoding(*features.shape, features.dtype)
+        hits = masking.positional_encoding.cache_info().hits
+        masking.masking_net_forward(features, m.net)
+        assert masking.positional_encoding.cache_info().hits == hits + 1
+        assert masking.positional_encoding(
+            *features.shape, features.dtype) is table
+
 
 def tiny_model(seed=0, **overrides):
     cfg = cfg_mod.preset("tiny", dropout_p=0.0, **overrides)

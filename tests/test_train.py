@@ -97,6 +97,49 @@ class TestAdam:
         train.clip_gradient_norm(store, 5.0)
         np.testing.assert_array_equal(a.grad, [0.3, 0.4])
 
+    def test_step_skips_a_missing_gradient(self):
+        store = ad.ParamStore()
+        a = store.add("a", np.ones(3))
+        b = store.add("b", np.full(2, 2.0))
+        opt = train.Adam(store, lr=0.1)
+        a.grad = np.full(3, 0.5)  # b.grad stays None: no backward reached it
+        opt.step()
+        assert b.grad is None
+        np.testing.assert_array_equal(b.data, [2.0, 2.0])
+        assert not opt.m["b"].any() and not opt.v["b"].any()
+        assert (a.data < 1.0).all() and opt.m["a"].all() and opt.v["a"].all()
+
+    def test_clip_ignores_a_missing_gradient(self):
+        store = ad.ParamStore()
+        a = store.add("a", np.zeros(2))
+        b = store.add("b", np.zeros(4))
+        a.grad = np.array([30.0, 40.0])
+        pre = train.clip_gradient_norm(store, 5.0)
+        assert pre == pytest.approx(50.0)
+        np.testing.assert_allclose(a.grad, [3.0, 4.0])
+        assert b.grad is None
+
+    def test_step_without_zero_grad(self):
+        # a backward on a fresh model writes gradients only on the path to
+        # the loss; clipping and the update leave the other slots None
+        model = model_mod.build_model(cfg_mod.preset("tiny"), seed=0)
+        store = model.store
+        before = {n: t.data.copy() for n, t in store.items()}
+        mixture = synth.synth_dataset(0, 1, 2, 400)[0][0]
+        with ad.Tape() as tape:
+            loss = ad.sum_all(model_mod.encode_features(model, mixture))
+            tape.backward(loss)
+        opt = train.Adam(store, lr=1e-2)
+        train.clip_gradient_norm(store, 1.0)
+        opt.step()
+        for name, t in store.items():
+            if name.startswith("codec.enc"):
+                assert t.grad is not None
+                assert not np.array_equal(t.data, before[name])
+            else:
+                assert t.grad is None, name
+                np.testing.assert_array_equal(t.data, before[name])
+
 
 class TestPlateauSchedule:
     def test_holds_then_decays(self):
