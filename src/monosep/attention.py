@@ -48,13 +48,14 @@ def rope(x, base: float = 10000.0) -> ad.Tensor:
     out = np.empty_like(x.data)
     out[:, 0::2] = even * cos - odd * sin
     out[:, 1::2] = even * sin + odd * cos
+    tx = ad.grad_target(x)
 
     def backward(g):
         ge, go = g[:, 0::2], g[:, 1::2]
         gx = np.empty_like(g)
         gx[:, 0::2] = ge * cos + go * sin  # rotate back by -angle
         gx[:, 1::2] = -ge * sin + go * cos
-        ad.accumulate_grad(x, gx)
+        ad.accumulate_grad(tx, gx)
 
     return ad.make_op(out, [x], backward)
 
@@ -152,7 +153,8 @@ def local_attention(q, k, values, gates, chunk_size: int):
     zero-padded copy of q, k, values or gates is made; only the chunks'
     positive scores outlive the forward pass. Both outputs share one
     backward closure, which runs once, at the first of them the tape
-    reaches with a gradient, and takes an output without one as zero.
+    reaches with a gradient, reads both outputs' gradients from their
+    nodes and takes an output without one as zero.
     """
     if chunk_size < 1:
         raise ConfigError(f"chunk size must be >= 1, got {chunk_size}")
@@ -182,37 +184,40 @@ def local_attention(q, k, values, gates, chunk_size: int):
            for part in parts]
     weights = [p * p for p in pos]
     out_v, out_g = attend(weights, values.data), attend(weights, gates.data)
-    outputs = []
+    tq, tk, tv, tg = (ad.grad_target(t) for t in (q, k, values, gates))
+    qv, kv, vv, gv = q.data, k.data, values.data, gates.data
+    nodes = []  # the outputs' gradient targets, once registered
 
     def backward(_g):
-        if not outputs:  # already ran for the other output
+        if not nodes:  # already ran for the other output
             return
-        grads = [(x, o.grad) for x, o in zip((values, gates), outputs)
-                 if o.grad is not None]
-        outputs.clear()
+        grads = [(x, t, n.grad) for x, t, n in zip((vv, gv), (tv, tg), nodes)
+                 if n.grad is not None]
+        nodes.clear()
         weights = [p * p for p in pos]
-        for x, g in grads:
-            if x.requires_grad:
-                ad.accumulate_grad(x, attend(weights, g, transpose=True))
+        for _, t, g in grads:
+            if t is not None:
+                ad.accumulate_grad(t, attend(weights, g, transpose=True))
         # d(weights) is the sum over outputs of g x^T per chunk; through
         # relu(s)^2 and s = gamma q k^T, d(q k^T) = 2 gamma pos d(weights)
         dscores = []
         for p, part in zip(pos, parts):
             d = sum(np.matmul(chunks(g, *part),
-                              chunks(x.data, *part).transpose(0, 2, 1))
-                    for x, g in grads)
+                              chunks(x, *part).transpose(0, 2, 1))
+                    for x, _, g in grads)
             d *= p
             d *= 2.0 * gamma
             dscores.append(d)
-        if q.requires_grad:
-            ad.accumulate_grad(q, attend(dscores, k.data))
-        if k.requires_grad:
-            ad.accumulate_grad(k, attend(dscores, q.data, transpose=True))
+        if tq is not None:
+            ad.accumulate_grad(tq, attend(dscores, kv))
+        if tk is not None:
+            ad.accumulate_grad(tk, attend(dscores, qv, transpose=True))
 
     inputs = [q, k, values, gates]
-    outputs += [ad.make_op(out_v, inputs, backward),
-                ad.make_op(out_g, inputs, backward)]
-    return tuple(outputs)
+    outputs = (ad.make_op(out_v, inputs, backward),
+               ad.make_op(out_g, inputs, backward))
+    nodes += [ad.grad_target(o) for o in outputs]
+    return outputs
 
 
 def joint_attention(
@@ -231,7 +236,8 @@ def joint_attention(
     if p.mode == "global_only":
         return global_attention(q_glob, k_glob, values, gates)
     # drop each q/k pair and branch output once nothing later reads it:
-    # without a tape (inference) its array is freed there and then
+    # no backward closure reads a branch output, so its array is freed
+    # there and then, under a tape too
     lv, lg = local_attention(q_loc, k_loc, values, gates, p.chunk_size)
     del q_loc, k_loc
     gv, gg = global_attention(q_glob, k_glob, values, gates)

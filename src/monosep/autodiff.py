@@ -2,20 +2,30 @@
 
 Define-by-run: primitives executed while a ``Tape`` is active append a node
 holding a backward closure; ``Tape.backward`` replays the nodes in exact
-reverse execution order, accumulating gradients into every tensor on the
+reverse execution order, accumulating gradients into every input on the
 path to the loss. Without an active tape the same primitives run as plain
 numpy forward code, so one implementation serves training, evaluation and
 the finite-difference oracle.
 
+Tape nodes are apart from tensors. A recorded op's node holds only its
+output's gradient slot and its backward closure; the ``Tensor`` it returns
+holds the output array and points to the node. The tape holds nodes, so an
+output array lives only as long as the model code or some closure keeps it.
+
 Every primitive has the same shape: it computes its forward array, defines
 a ``backward(g)`` closure that pushes gradients into its inputs with
-``_accum``, and returns ``_op(data, inputs, backward)``. ``_op`` is the one
-registration point: it wraps the array and, only when a tape is active and
-some input requires grad, marks the output and appends it to the tape.
-Code outside this module registers fused primitives through ``make_op``;
-a primitive with several outputs registers each one with the same closure,
-which runs once, at the first of them the tape visits with a gradient, and
-reads every output's gradient itself. ``Tensor`` has no operator overloads: every op is
+``_accum``, and returns ``_op(data, inputs, backward)``. A closure captures
+two kinds of things and nothing else: the arrays that the gradients it will
+compute read (``mul`` keeps ``b`` for ``a``'s gradient and ``a`` for
+``b``'s, ``silu`` its input, ``add`` and ``reshape`` nothing), and, per
+input, the gradient target ``grad_target`` gives: the input's node, the
+leaf tensor itself, or None when the input needs no gradient. It never
+captures an input ``Tensor``, which would keep that input's array alive
+until backward. ``_op`` is the one registration
+point: it wraps the array and, only when a tape is active and some input
+requires grad, gives the output a node and appends the node to the tape.
+Code outside this module registers fused primitives through ``make_op``
+and ``accumulate_grad``. ``Tensor`` has no operator overloads: every op is
 a call to a named primitive.
 
 Backward consumes the tape, like PyTorch's default (``retain_graph=False``):
@@ -66,17 +76,39 @@ _active_tape: contextvars.ContextVar["Tape | None"] = contextvars.ContextVar(
     "monosep_active_tape", default=None)
 
 
-class Tensor:
-    """A numpy array plus a gradient slot and an optional backward closure."""
+class _Node:
+    """A recorded op on the tape: its output's gradient slot and its
+    backward closure. The output array stays with the ``Tensor``."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_backward")
+    __slots__ = ("grad", "backward")
+
+    def __init__(self, backward: Callable[[np.ndarray], None]):
+        self.grad: np.ndarray | None = None
+        self.backward: Callable[[np.ndarray], None] | None = backward
+
+
+class Tensor:
+    """A numpy array plus a gradient slot; an op output recorded on a tape
+    also points to its tape node."""
+
+    __slots__ = ("data", "grad", "requires_grad", "name", "_node")
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.name = name
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._node: _Node | None = None
+
+    @property
+    def _backward(self) -> Callable[[np.ndarray], None] | None:
+        """The backward closure of the op that recorded this tensor, None
+        when no tape recorded it or backward has consumed it."""
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, closure: Callable[[np.ndarray], None]) -> None:
+        self._node.backward = closure
 
     @property
     def shape(self):
@@ -99,7 +131,7 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of executed primitives for one forward pass.
+    """Ordered record of the nodes of the primitives run in one forward pass.
 
     Use as a context manager; a tape is rebuilt per forward pass and records
     only the primitives run by the thread that entered it. Leaving a nested
@@ -107,7 +139,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._nodes: list[Tensor] = []
+        self._nodes: list[_Node] = []
         self._token: contextvars.Token | None = None
         self._consumed = False
 
@@ -141,15 +173,15 @@ class Tape:
         if not np.isfinite(root.data):
             raise NumericalError(f"backward root is non-finite: {root.data}")
         self._consumed = True
-        seed = np.ones((), dtype=root.data.dtype)
-        root.grad = seed if root.grad is None else root.grad + seed
+        _accum(root if root._node is None else root._node,
+               np.ones((), dtype=root.data.dtype))
         nodes = self._nodes
         while nodes:
             node = nodes.pop()
-            if node.grad is not None and node._backward is not None:
-                node._backward(node.grad)
+            if node.grad is not None and node.backward is not None:
+                node.backward(node.grad)
             node.grad = None
-            node._backward = None
+            node.backward = None
 
 
 def as_tensor(x) -> Tensor:
@@ -172,20 +204,31 @@ def _pair(a, b) -> tuple[Tensor, Tensor]:
 
 def _op(data, inputs: Iterable[Tensor],
         backward: Callable[[np.ndarray], None]) -> Tensor:
-    """Wrap a primitive's forward array; record it on the active tape when
-    any input requires grad. The only code that appends tape nodes."""
+    """Wrap a primitive's forward array; when a tape is active and any
+    input requires grad, give the output a node holding ``backward`` and
+    append the node to the tape. The only code that appends tape nodes."""
     out = Tensor(data)
     tape = _active_tape.get()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out._backward = backward
-        tape._nodes.append(out)
+        out._node = _Node(backward)
+        tape._nodes.append(out._node)
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def grad_target(t: Tensor) -> _Node | Tensor | None:
+    """Where backward accumulates ``t``'s gradient: its tape node, or the
+    tensor itself when it is a leaf; None when ``t`` needs no gradient.
+    Closures capture this instead of ``t``, so they do not keep ``t.data``
+    alive."""
+    if not t.requires_grad:
+        return None
+    return t if t._node is None else t._node
+
+
+def _accum(target: _Node | Tensor, g: np.ndarray) -> None:
     # never in-place: g may alias another node's grad buffer
-    t.grad = g if t.grad is None else t.grad + g
+    target.grad = g if target.grad is None else target.grad + g
 
 
 def _sum_rows(m: np.ndarray) -> np.ndarray:
@@ -221,57 +264,71 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _pair(a, b)
+    ta, tb = grad_target(a), grad_target(b)
+    sa, sb = a.data.shape, b.data.shape
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
+        if ta is not None:
+            _accum(ta, _unbroadcast(g, sa))
+        if tb is not None:
+            _accum(tb, _unbroadcast(g, sb))
 
     return _op(a.data + b.data, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
     a, b = _pair(a, b)
+    ta, tb = grad_target(a), grad_target(b)
+    sa, sb = a.data.shape, b.data.shape
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.data.shape))
+        if ta is not None:
+            _accum(ta, _unbroadcast(g, sa))
+        if tb is not None:
+            _accum(tb, _unbroadcast(-g, sb))
 
     return _op(a.data - b.data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = _pair(a, b)
+    ta, tb = grad_target(a), grad_target(b)
+    sa, sb = a.data.shape, b.data.shape
+    # each operand's gradient reads only the other operand
+    av = a.data if tb is not None else None
+    bv = b.data if ta is not None else None
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if ta is not None:
+            _accum(ta, _unbroadcast(g * bv, sa))
+        if tb is not None:
+            _accum(tb, _unbroadcast(g * av, sb))
 
     return _op(a.data * b.data, (a, b), backward)
 
 
 def div(a, b) -> Tensor:
     a, b = _pair(a, b)
+    ta, tb = grad_target(a), grad_target(b)
+    sa, sb = a.data.shape, b.data.shape
+    av = a.data if tb is not None else None
+    bv = b.data
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if ta is not None:
+            _accum(ta, _unbroadcast(g / bv, sa))
+        if tb is not None:
+            _accum(tb, _unbroadcast(-g * av / (bv * bv), sb))
 
     return _op(a.data / b.data, (a, b), backward)
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
+    ta = grad_target(a)
 
     def backward(g):
-        _accum(a, -g)
+        _accum(ta, -g)
 
     return _op(-a.data, (a,), backward)
 
@@ -291,12 +348,15 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(
             f"matmul batch axes disagree: {a.data.shape[0]} vs {b.data.shape[0]}"
         )
+    ta, tb = grad_target(a), grad_target(b)
+    av = a.data if tb is not None else None
+    bv = b.data if ta is not None else None
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            _accum(b, np.swapaxes(a.data, -1, -2) @ g)
+        if ta is not None:
+            _accum(ta, g @ np.swapaxes(bv, -1, -2))
+        if tb is not None:
+            _accum(tb, np.swapaxes(av, -1, -2) @ g)
 
     return _op(a.data @ b.data, (a, b), backward)
 
@@ -305,9 +365,10 @@ def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.data.ndim != 2:
         raise DimensionError(f"transpose expects a 2-D tensor, got {a.data.shape}")
+    ta = grad_target(a)
 
     def backward(g):
-        _accum(a, g.T)
+        _accum(ta, g.T)
 
     return _op(a.data.T, (a,), backward)
 
@@ -315,18 +376,20 @@ def transpose(a) -> Tensor:
 def permute(a, axes: Sequence[int]) -> Tensor:
     a = as_tensor(a)
     axes = tuple(axes)
+    ta = grad_target(a)
 
     def backward(g):
-        _accum(a, np.transpose(g, np.argsort(axes)))
+        _accum(ta, np.transpose(g, np.argsort(axes)))
 
     return _op(np.transpose(a.data, axes), (a,), backward)
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
+    ta, sa = grad_target(a), a.data.shape
 
     def backward(g):
-        _accum(a, g.reshape(a.data.shape))
+        _accum(ta, g.reshape(sa))
 
     return _op(a.data.reshape(shape), (a,), backward)
 
@@ -337,11 +400,12 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     idx = [slice(None)] * a.data.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
+    ta, sa, dtype = grad_target(a), a.data.shape, a.data.dtype
 
     def backward(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(sa, dtype=dtype)
         full[idx] = g
-        _accum(a, full)
+        _accum(ta, full)
 
     return _op(a.data[idx], (a,), backward)
 
@@ -359,38 +423,42 @@ def pad_axis_end(a, axis: int, extra: int) -> Tensor:
     # zeros plus a slice copy: np.pad's result without its per-call cost
     out = np.zeros(shape, dtype=a.data.dtype)
     out[keep] = a.data
+    ta = grad_target(a)
 
     def backward(g):
-        _accum(a, g[keep])
+        _accum(ta, g[keep])
 
     return _op(out, (a,), backward)
 
 
 def sum_all(a) -> Tensor:
     a = as_tensor(a)
+    ta, sa = grad_target(a), a.data.shape
 
     def backward(g):
-        _accum(a, np.broadcast_to(g, a.data.shape))
+        _accum(ta, np.broadcast_to(g, sa))
 
     return _op(a.data.sum(), (a,), backward)
 
 
 def mean_all(a) -> Tensor:
     a = as_tensor(a)
+    ta, sa, size = grad_target(a), a.data.shape, a.data.size
 
     def backward(g):
-        _accum(a, np.broadcast_to(g / a.data.size, a.data.shape))
+        _accum(ta, np.broadcast_to(g / size, sa))
 
     return _op(a.data.mean(), (a,), backward)
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
+    ta, x = grad_target(a), a.data
 
     def backward(g):
-        _accum(a, g / a.data)
+        _accum(ta, g / x)
 
-    return _op(np.log(a.data), (a,), backward)
+    return _op(np.log(x), (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -400,19 +468,20 @@ def log(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
+    ta, x = grad_target(a), a.data
 
     def backward(g):
-        _accum(a, g * (a.data > 0))
+        _accum(ta, g * (x > 0))
 
-    return _op(np.maximum(a.data, 0), (a,), backward)
+    return _op(np.maximum(x, 0), (a,), backward)
 
 
 def relu_squared(a) -> Tensor:
     a = as_tensor(a)
-    pos = np.maximum(a.data, 0)
+    ta, pos = grad_target(a), np.maximum(a.data, 0)
 
     def backward(g):
-        _accum(a, g * (2.0 * pos))
+        _accum(ta, g * (2.0 * pos))
 
     return _op(pos * pos, (a,), backward)
 
@@ -438,30 +507,31 @@ def _times(g: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    s = _logistic(a.data)
+    ta, s = grad_target(a), _logistic(a.data)
 
     def backward(g):
         # g * (s * (1 - s)), one temporary
         d = np.subtract(1.0, s, out=np.empty_like(s))
         d *= s
-        _accum(a, _times(g, d))
+        _accum(ta, _times(g, d))
 
     return _op(s, (a,), backward)
 
 
 def silu(a) -> Tensor:
     a = as_tensor(a)
-    s = _logistic(a.data)
+    ta, x = grad_target(a), a.data
+    s = _logistic(x)
 
     def backward(g):
         # g * (s * (1 + x * (1 - s))), one temporary
         d = np.subtract(1.0, s, out=np.empty_like(s))
-        d *= a.data
+        d *= x
         d += 1.0
         d *= s
-        _accum(a, _times(g, d))
+        _accum(ta, _times(g, d))
 
-    return _op(a.data * s, (a,), backward)
+    return _op(x * s, (a,), backward)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -471,13 +541,13 @@ _GELU_A = 0.044715
 def gelu(a) -> Tensor:
     """GELU, tanh approximation (keeps the package free of an erf dependency)."""
     a = as_tensor(a)
-    x = a.data
+    ta, x = grad_target(a), a.data
     inner = _GELU_C * (x + _GELU_A * x * x * x)
     t = np.tanh(inner)
 
     def backward(g):
         d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-        _accum(a, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner))
+        _accum(ta, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner))
 
     return _op(0.5 * x * (1.0 + t), (a,), backward)
 
@@ -511,12 +581,13 @@ def activation(kind: str, a) -> Tensor:
 def dropout(a, p: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout: the RNG is the training signal. With an ``rng``,
     zero each entry with probability ``p`` and scale survivors by 1/(1-p);
-    without one (inference), return ``a`` unchanged."""
+    without one (inference), return ``a`` unchanged. A ``p`` outside
+    [0, 1) raises ``ConfigError`` either way."""
+    if not 0.0 <= p < 1.0:
+        raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     a = as_tensor(a)
     if rng is None or p == 0.0:
         return a
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     # the mask stays bool (a quarter of a float32 mask); times the mask,
     # then times 1/(1-p) rounded as the float mask rounded it, is bitwise
     # the product with that float mask of 0 and 1/(1-p), signed zeros
@@ -530,8 +601,10 @@ def dropout(a, p: float, rng: np.random.Generator | None) -> Tensor:
         out *= scale
         return out
 
+    ta = grad_target(a)
+
     def backward(g):
-        _accum(a, masked(g))
+        _accum(ta, masked(g))
 
     return _op(masked(a.data), (a,), backward)
 
@@ -596,14 +669,17 @@ def conv1d(x, weight, bias, stride: int) -> Tensor:
 
     out_data, win = _frame_contract(x.data, weight.data, stride)
     out_data += bias.data
+    tx, tw, tb = grad_target(x), grad_target(weight), grad_target(bias)
+    # the window view holds x: keep it only for the weight gradient
+    win, w = (win if tw is not None else None), weight.data
 
     def backward(g):
-        if bias.requires_grad:
-            _accum(bias, _sum_rows(g))
-        if weight.requires_grad:
-            _accum(weight, np.tensordot(g, win, axes=(0, 0)))
-        if x.requires_grad:
-            _accum(x, _contract_overlap_add(g, weight.data, stride, L))
+        if tb is not None:
+            _accum(tb, _sum_rows(g))
+        if tw is not None:
+            _accum(tw, np.tensordot(g, win, axes=(0, 0)))
+        if tx is not None:
+            _accum(tx, _contract_overlap_add(g, w, stride, L))
 
     return _op(out_data, (x, weight, bias), backward)
 
@@ -632,13 +708,15 @@ def transposed_conv1d(x, weight, stride: int) -> Tensor:
 
     lout = (L - 1) * stride + K
     out_data = _contract_overlap_add(x.data, weight.data, stride, lout)
+    tx, tw = grad_target(x), grad_target(weight)
+    xv, w = (x.data if tw is not None else None), weight.data
 
     def backward(g):
-        gx, win = _frame_contract(g, weight.data, stride)
-        if x.requires_grad:
-            _accum(x, gx)
-        if weight.requires_grad:
-            _accum(weight, np.tensordot(x.data, win, axes=(0, 0)))
+        gx, win = _frame_contract(g, w, stride)
+        if tx is not None:
+            _accum(tx, gx)
+        if tw is not None:
+            _accum(tw, np.tensordot(xv, win, axes=(0, 0)))
 
     return _op(out_data, (x, weight), backward)
 
@@ -757,27 +835,29 @@ def depthwise_conv1d(x, weight) -> Tensor:
         return _depthwise_windows(_channels_major(a, pad, width, dtype), B, K)
 
     out_data = _depthwise_gemm(windows(x.data), weight.data, L)
+    tx, tw = grad_target(x), grad_target(weight)
+    # the weight gradient reads x; the taps are kept whole, being small
+    xv, w = (x.data if tw is not None else None), weight.data
 
     def backward(g):
-        # the packing is rebuilt from x.data, which the tape holds anyway,
+        # the packing is rebuilt from x, which the closure holds anyway,
         # rather than keeping a second input-sized copy until backward
         gp = _channels_major(g, pad, width, np.result_type(g, dtype))
-        if weight.requires_grad:
+        if tw is not None:
             # gw[c, k] = sum_s g[s, c] * xp[c, s + k]: per channel, the
             # blocks of g transposed times the windows, (B, B + K - 1),
             # then summed along its K diagonals m[i, i + k]
             blocks = gp[:, pad : width - pad].reshape(C, -1, B)
-            m = np.matmul(blocks.transpose(0, 2, 1), windows(x.data))
+            m = np.matmul(blocks.transpose(0, 2, 1), windows(xv))
             s = m.strides
             diagonals = np.lib.stride_tricks.as_strided(
                 m, (C, K, B), (s[0], s[2], s[1] + s[2]), writeable=False)
-            _accum(weight, diagonals.sum(axis=2).astype(weight.data.dtype,
-                                                        copy=False))
-        if x.requires_grad:
+            _accum(tw, diagonals.sum(axis=2).astype(w.dtype, copy=False))
+        if tx is not None:
             # the adjoint of a symmetric same-length correlation is the
             # same correlation with the taps reversed
-            _accum(x, _depthwise_gemm(_depthwise_windows(gp, B, K),
-                                      weight.data[:, ::-1], L))
+            _accum(tx, _depthwise_gemm(_depthwise_windows(gp, B, K),
+                                       w[:, ::-1], L))
 
     return _op(out_data, (x, weight), backward)
 
@@ -808,21 +888,23 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     var = np.einsum("sn,sn->s", xhat, xhat) * (1.0 / N)
     inv_std = (1.0 / np.sqrt(var + eps))[:, None]
     xhat *= inv_std
+    tx, tg, tb = grad_target(x), grad_target(gain), grad_target(bias)
+    gv = gain.data
 
     def backward(g):
-        if bias.requires_grad:
-            _accum(bias, _sum_rows(g))
-        if gain.requires_grad:
-            _accum(gain, np.einsum("sn,sn->n", g, xhat))
-        if x.requires_grad:
+        if tb is not None:
+            _accum(tb, _sum_rows(g))
+        if tg is not None:
+            _accum(tg, np.einsum("sn,sn->n", g, xhat))
+        if tx is not None:
             # d/dx of (x - mean) * inv_std, both mean and var depend on x:
             # inv_std * (gh - mean(gh) - xhat * mean(gh * xhat))
-            gx = g * gain.data
+            gx = g * gv
             proj = np.einsum("sn,sn->s", gx, xhat) * (1.0 / N)
             gx -= _mean_cols(gx)[:, None]
             gx -= xhat * proj[:, None]
             gx *= inv_std
-            _accum(x, gx)
+            _accum(tx, gx)
 
     out = xhat * gain.data
     out += bias.data
@@ -846,18 +928,26 @@ def make_op(data: np.ndarray, inputs: Iterable[Tensor],
     """Register a fused primitive: forward result + backward closure.
 
     The closure receives the output gradient and must push gradients into
-    its inputs via ``accumulate_grad``. A primitive with several outputs
-    registers each with one shared closure, in order, with nothing recorded
-    in between: the tape then visits the last one first, when every
-    output's gradient is complete, so the closure can run once there and
-    read the others' ``grad`` (None means no gradient reached it).
+    its inputs via ``accumulate_grad``. Like the built-in primitives, it
+    should capture only the arrays it reads and each input's
+    ``grad_target``, not the input tensors, so that no input array outlives
+    its last use for longer than backward needs it.
+
+    A primitive with several outputs calls ``make_op`` once per output,
+    with one shared closure, in order, with nothing recorded in between,
+    and after the calls keeps ``grad_target`` of each output (its node),
+    not the outputs. The tape then visits the last output first, when every
+    output's gradient is complete, so the closure runs once there, reads
+    each output's gradient from its node's ``grad`` (None means no gradient
+    reached it) and does nothing when the tape visits the others.
     """
     return _op(data, inputs, backward)
 
 
-def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad`` without aliasing; for make_op closures."""
-    _accum(t, g)
+def accumulate_grad(target: _Node | Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into the gradient of ``target``, an input's
+    ``grad_target``, without aliasing; for make_op closures."""
+    _accum(target, g)
 
 
 # ---------------------------------------------------------------------------
@@ -885,6 +975,11 @@ class ParamStore:
         # np.array rather than ascontiguousarray: the latter turns 0-d into (1,)
         return self._register(name, np.array(value, dtype=self.dtype,
                                              order="C"))
+
+    def uniform(self, name: str, shape: tuple, bound: float,
+                rng: np.random.Generator) -> Tensor:
+        """Register ``name`` drawn from U(-bound, bound) with ``rng``."""
+        return self.add(name, rng.uniform(-bound, bound, shape))
 
     def _register(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._entries:

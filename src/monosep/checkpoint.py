@@ -213,10 +213,10 @@ def _read_section(f, path, kind: str, layout, section_len: int) -> dict:
 
 
 class _AdoptingStore(ad.ParamStore):
-    """The store ``restore_model`` builds into: ``add`` registers the
-    table's array under each name, without a copy, in place of the
-    initializer's draw, and notes each name it cannot adopt so that
-    ``check_table`` can report all of them."""
+    """The store ``restore_model`` builds into: ``add`` and ``uniform``
+    register the table's array under each name, without a copy, in place of
+    the initializer's value, so an adopted weight costs no draw; each name
+    it cannot adopt is noted so that ``check_table`` can report all of them."""
 
     def __init__(self, dtype, table: dict[str, np.ndarray]):
         super().__init__(dtype)
@@ -225,15 +225,26 @@ class _AdoptingStore(ad.ParamStore):
         self.misfit: str | None = None  # the first shape mismatch
 
     def add(self, name: str, value) -> ad.Tensor:
+        t = self._adopt(name, np.shape(value))
+        return super().add(name, value) if t is None else t
+
+    def uniform(self, name: str, shape: tuple, bound: float,
+                rng: np.random.Generator) -> ad.Tensor:
+        t = self._adopt(name, shape)
+        return super().uniform(name, shape, bound, rng) if t is None else t
+
+    def _adopt(self, name: str, shape: tuple) -> ad.Tensor | None:
+        """Register the table's array as ``name``; None when the table has
+        no such name or its array is not of ``shape``."""
         if name not in self.table:
             self.missing.append(name)
-            return super().add(name, value)
+            return None
         arr = np.asarray(self.table[name], dtype=self.dtype, order="C")
-        if arr.shape != np.shape(value):
+        if arr.shape != tuple(shape):
             self.misfit = self.misfit or (
                 f"parameter {name!r} shape mismatch: "
-                f"{arr.shape} vs {np.shape(value)}")
-            return super().add(name, value)
+                f"{arr.shape} vs {tuple(shape)}")
+            return None
         return self._register(name, arr)
 
     def check_table(self) -> None:

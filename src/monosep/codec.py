@@ -34,13 +34,11 @@ def init_codec(
         raise ConfigError(f"codec kernel must be even and >= 2, got {kernel}")
     bound = 1.0 / math.sqrt(kernel)
     return CodecParams(
-        enc_weight=store.add(
-            f"{prefix}.enc_w", rng.uniform(-bound, bound, (n_feat, 1, kernel))
-        ),
+        enc_weight=store.uniform(f"{prefix}.enc_w", (n_feat, 1, kernel),
+                                 bound, rng),
         enc_bias=store.add(f"{prefix}.enc_b", np.zeros(n_feat)),
-        dec_weight=store.add(
-            f"{prefix}.dec_w", rng.uniform(-bound, bound, (n_feat, 1, kernel))
-        ),
+        dec_weight=store.uniform(f"{prefix}.dec_w", (n_feat, 1, kernel),
+                                 bound, rng),
     )
 
 

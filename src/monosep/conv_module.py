@@ -56,7 +56,7 @@ def _init_norm_and_proj(store, prefix, n_in, n_out, rng):
     return (
         store.add(f"{prefix}.norm_g", np.ones(n_in)),
         store.add(f"{prefix}.norm_b", np.zeros(n_in)),
-        store.add(f"{prefix}.proj_w", rng.uniform(-bound, bound, (n_out, n_in))),
+        store.uniform(f"{prefix}.proj_w", (n_out, n_in), bound, rng),
         store.add(f"{prefix}.proj_b", np.zeros(n_out)),
     )
 
@@ -74,9 +74,8 @@ def init_conv_module(
         norm_bias=bias,
         proj_weight=proj_w,
         proj_bias=proj_b,
-        dw_weight=store.add(
-            f"{prefix}.dw_w", rng.uniform(-k_bound, k_bound, (n_out, dw_kernel))
-        ),
+        dw_weight=store.uniform(f"{prefix}.dw_w", (n_out, dw_kernel),
+                                k_bound, rng),
         dropout_p=dropout_p,
     )
 

@@ -53,7 +53,7 @@ class MaskingNetParams:
 def _linear_params(store, prefix, n_in, n_out, rng):
     bound = 1.0 / math.sqrt(n_in)
     return (
-        store.add(f"{prefix}_w", rng.uniform(-bound, bound, (n_out, n_in))),
+        store.uniform(f"{prefix}_w", (n_out, n_in), bound, rng),
         store.add(f"{prefix}_b", np.zeros(n_out)),
     )
 

@@ -1,6 +1,7 @@
 """Tests for joint attention: dense oracles, RoPE, chunking, branch algebra."""
 
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -270,6 +271,31 @@ class TestJointAttention:
         v, u = ad.Tensor(rand((10, 8), 55)), ad.Tensor(rand((10, 8), 56))
         jv, ju = attn.joint_attention(x, v, u, p)
         assert jv.shape == (10, 8) and ju.shape == (10, 8)
+
+    def test_branch_outputs_freed_before_backward(self, monkeypatch):
+        # once the joint sum has consumed local_attention's outputs, no
+        # backward closure reads them, so the tape does not keep them alive
+        p, store = build_attention(seed=62)
+        seen = []
+        local = attn.local_attention
+
+        def spy(*args, **kwargs):
+            outs = local(*args, **kwargs)
+            seen.extend(weakref.ref(o.data) for o in outs)
+            return outs
+
+        monkeypatch.setattr(attn, "local_attention", spy)
+        store.zero_grad()
+        with ad.Tape() as tape:
+            jv, ju = attn.joint_attention(
+                ad.Tensor(rand((20, 6), 63)), ad.Tensor(rand((20, 8), 64)),
+                ad.Tensor(rand((20, 8), 65)), p)
+            assert len(seen) == 2 and all(ref() is None for ref in seen)
+            tape.backward(ad.sum_all(ad.mul(ad.add(jv, ju),
+                                            ad.Tensor(rand((20, 8), 66)))))
+        # the local branch's closure still ran, reading its outputs'
+        # gradients from their nodes
+        assert np.abs(p.local_q_scale.grad).max() > 0
 
     def test_gradient_through_joint(self):
         p, store = build_attention(seed=57)

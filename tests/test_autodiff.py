@@ -7,8 +7,10 @@ import weakref
 import numpy as np
 import pytest
 
+from monosep import attention as attn
 from monosep import autodiff as ad
 from monosep.config import preset
+from monosep.losses import si_sdr
 from monosep.errors import ConfigError, DimensionError, TapeError
 from monosep.model import build_model, separate
 
@@ -711,6 +713,113 @@ class TestDropout:
         assert out.data.dtype == dtype and a.grad.dtype == dtype
         assert out.data.tobytes() == (x * keep).tobytes()
         assert a.grad.tobytes() == (g * keep).tobytes()
+
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, -0.1, float("nan")])
+    @pytest.mark.parametrize("with_rng", [True, False])
+    def test_probability_outside_range_rejected(self, p, with_rng):
+        rng = np.random.default_rng(12) if with_rng else None
+        with pytest.raises(ConfigError, match="dropout probability"):
+            ad.dropout(ad.Tensor(np.ones(3)), p, rng)
+
+
+# the make_op users outside autodiff, in the same form as PRIMITIVES
+FUSED = {
+    "rope": (attn.rope, [(5, 4)]),
+    "local_attention": (
+        lambda q, k, v, u: attn.local_attention(q, k, v, u, 3)[0],
+        [(5, 2), (5, 2), (5, 3), (5, 3)]),
+    "si_sdr": (si_sdr, [(8,), (8,)]),
+}
+
+
+def reachable(closure):
+    """Every object a backward closure reaches through its cells, the cells
+    of nested functions and the items of lists and tuples; tape nodes are
+    gradient targets and are not entered."""
+    found, seen = [], set()
+    stack = [closure]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        if callable(obj) and getattr(obj, "__closure__", None):
+            stack += [cell.cell_contents for cell in obj.__closure__]
+        elif isinstance(obj, (list, tuple)):
+            stack += obj
+    return found
+
+
+class TestLiveness:
+    """Under a tape, an op output that no backward closure reads is freed
+    as soon as the caller drops it; one that a closure reads lives until
+    backward."""
+
+    @pytest.mark.parametrize("name", sorted(set(PRIMITIVES) - {"make_op"})
+                             + sorted(FUSED))
+    def test_closures_capture_no_recorded_tensor(self, name):
+        fn, shapes = {**PRIMITIVES, **FUSED}[name]
+        rng = np.random.default_rng(0)
+        with ad.Tape():
+            # inputs recorded on the tape, as inside a model
+            inputs = [ad.mul(ad.Tensor(rng.uniform(0.5, 1.5, size=s),
+                                       requires_grad=True), 1.0)
+                      for s in shapes]
+            out = fn(*inputs)
+        held = [obj for obj in reachable(out._backward)
+                if isinstance(obj, ad.Tensor)]
+        assert held == []
+
+    def test_matmul_output_freed_once_added(self):
+        rng = np.random.default_rng(1)
+        x = ad.Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        b = ad.Tensor(rng.normal(size=3), requires_grad=True)
+        with ad.Tape() as tape:
+            y = ad.matmul(x, w)
+            freed = weakref.ref(y.data)
+            z = ad.add(y, b)
+            del y
+            assert freed() is None
+            tape.backward(ad.sum_all(z))
+        np.testing.assert_allclose(w.grad, x.data.T @ np.ones((6, 3)))
+        np.testing.assert_allclose(x.grad, np.ones((6, 3)) @ w.data.T)
+        np.testing.assert_array_equal(b.grad, np.full(3, 6.0))
+
+    def test_depthwise_output_freed_once_dropped_out(self):
+        rng = np.random.default_rng(2)
+        x_data, w_data = rng.normal(size=(20, 3)), rng.normal(size=(3, 5))
+
+        def grads(keep_output):
+            x = ad.Tensor(x_data, requires_grad=True)
+            w = ad.Tensor(w_data, requires_grad=True)
+            with ad.Tape() as tape:
+                y = ad.depthwise_conv1d(x, w)
+                freed = weakref.ref(y.data)
+                z = ad.dropout(y, 0.5, np.random.default_rng(3))
+                kept = [y] if keep_output else []
+                del y
+                assert (freed() is None) != keep_output
+                tape.backward(ad.sum_all(z))
+            del kept
+            return x.grad, w.grad
+
+        for dropped, kept in zip(grads(False), grads(True)):
+            assert dropped.tobytes() == kept.tobytes()
+
+    def test_mul_inputs_kept_until_backward(self):
+        x = ad.Tensor(np.linspace(-1.0, 1.0, 7), requires_grad=True)
+        with ad.Tape() as tape:
+            a, b = ad.add(x, 1.0), ad.add(x, 2.0)
+            refs = [weakref.ref(a.data), weakref.ref(b.data)]
+            loss = ad.sum_all(ad.mul(a, b))
+            del a, b
+            assert all(ref() is not None for ref in refs)
+            tape.backward(loss)
+        assert all(ref() is None for ref in refs)
+        np.testing.assert_allclose(x.grad, 2.0 * x.data + 3.0)
 
 
 class TestGradientCheck:

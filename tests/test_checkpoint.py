@@ -237,6 +237,24 @@ class TestAdoption:
         assert any(not np.array_equal(t.data, before[n])
                    for n, t in model.store.items())
 
+    def test_restore_draws_nothing(self, monkeypatch):
+        cfg = cfg_mod.preset("tiny")
+        params = {n: t.data for n, t in
+                  model_mod.build_model(cfg, seed=0).store.items()}
+        made = []
+        default_rng = np.random.default_rng
+
+        def spy(*args, **kwargs):
+            rng = default_rng(*args, **kwargs)
+            made.append((rng, rng.bit_generator.state))
+            return rng
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        restore_model(Checkpoint(config=cfg, params=params))
+        # the initializer's generator was made, and not one value drawn
+        assert made and all(rng.bit_generator.state == state
+                            for rng, state in made)
+
     def test_section_buffer_freed_without_collection(self, tmp_path):
         loaded = load_checkpoint(self.saved(tmp_path))
         model = restore_model(loaded)
