@@ -101,8 +101,10 @@ def run_ablation(
             f"unknown ablation suite {suite!r}; expected one of "
             f"{sorted(SUITES)}"
         )
+    if budget < 1:  # max_steps=0 would mean no cap: a full epoch each
+        raise ConfigError(f"ablation budget must be >= 1 step, got {budget}")
     # max_epochs only needs to be large enough for max_steps to bite
-    run_cfg = replace(train_cfg, max_steps=budget, max_epochs=max(budget, 1))
+    run_cfg = replace(train_cfg, max_steps=budget, max_epochs=budget)
     train_items, _ = split_dataset(data)
 
     rows = []

@@ -48,14 +48,13 @@ def rope(x, base: float = 10000.0) -> ad.Tensor:
     out = np.empty_like(x.data)
     out[:, 0::2] = even * cos - odd * sin
     out[:, 1::2] = even * sin + odd * cos
-    tx = ad.grad_target(x)
 
     def backward(g):
         ge, go = g[:, 0::2], g[:, 1::2]
         gx = np.empty_like(g)
         gx[:, 0::2] = ge * cos + go * sin  # rotate back by -angle
         gx[:, 1::2] = -ge * sin + go * cos
-        ad.accumulate_grad(tx, gx)
+        return (gx,)
 
     return ad.make_op(out, [x], backward)
 
@@ -151,10 +150,9 @@ def local_attention(q, k, values, gates, chunk_size: int):
     One primitive with two outputs, (attended values, attended gates). The
     whole chunks are one batched GEMM, a ragged last chunk its own, so no
     zero-padded copy of q, k, values or gates is made; only the chunks'
-    positive scores outlive the forward pass. Both outputs share one
-    backward closure, which runs once, at the first of them the tape
-    reaches with a gradient, reads both outputs' gradients from their
-    nodes and takes an output without one as zero.
+    positive scores outlive the forward pass. The backward closure runs
+    once, on both outputs' gradients, and takes an output without one as
+    zero.
     """
     if chunk_size < 1:
         raise ConfigError(f"chunk size must be >= 1, got {chunk_size}")
@@ -184,40 +182,31 @@ def local_attention(q, k, values, gates, chunk_size: int):
            for part in parts]
     weights = [p * p for p in pos]
     out_v, out_g = attend(weights, values.data), attend(weights, gates.data)
-    tq, tk, tv, tg = (ad.grad_target(t) for t in (q, k, values, gates))
+    inputs = (q, k, values, gates)
+    rq, rk, rv, rg = (t.requires_grad for t in inputs)
     qv, kv, vv, gv = q.data, k.data, values.data, gates.data
-    nodes = []  # the outputs' gradient targets, once registered
 
-    def backward(_g):
-        if not nodes:  # already ran for the other output
-            return
-        grads = [(x, t, n.grad) for x, t, n in zip((vv, gv), (tv, tg), nodes)
-                 if n.grad is not None]
-        nodes.clear()
+    def backward(grads):
         weights = [p * p for p in pos]
-        for _, t, g in grads:
-            if t is not None:
-                ad.accumulate_grad(t, attend(weights, g, transpose=True))
+        g_values, g_gates = (
+            attend(weights, g, transpose=True) if g is not None and r else None
+            for g, r in zip(grads, (rv, rg)))
         # d(weights) is the sum over outputs of g x^T per chunk; through
         # relu(s)^2 and s = gamma q k^T, d(q k^T) = 2 gamma pos d(weights)
+        paths = [(x, g) for x, g in zip((vv, gv), grads) if g is not None]
         dscores = []
         for p, part in zip(pos, parts):
             d = sum(np.matmul(chunks(g, *part),
                               chunks(x, *part).transpose(0, 2, 1))
-                    for x, _, g in grads)
+                    for x, g in paths)
             d *= p
             d *= 2.0 * gamma
             dscores.append(d)
-        if tq is not None:
-            ad.accumulate_grad(tq, attend(dscores, kv))
-        if tk is not None:
-            ad.accumulate_grad(tk, attend(dscores, qv, transpose=True))
+        return (attend(dscores, kv) if rq else None,
+                attend(dscores, qv, transpose=True) if rk else None,
+                g_values, g_gates)
 
-    inputs = [q, k, values, gates]
-    outputs = (ad.make_op(out_v, inputs, backward),
-               ad.make_op(out_g, inputs, backward))
-    nodes += [ad.grad_target(o) for o in outputs]
-    return outputs
+    return ad.make_op((out_v, out_g), inputs, backward)
 
 
 def joint_attention(

@@ -12,11 +12,14 @@ _SCALE = 32768.0
 
 
 def read_wav(path) -> tuple[np.ndarray, int]:
-    """Read a mono 16-bit PCM WAV; returns (samples in [-1, 1), sample rate)."""
+    """Read a mono 16-bit PCM WAV; returns (samples in [-1, 1), sample rate).
+    Any other file, or one cut short, raises ``WavFormatError``."""
     try:
         reader = wave.open(str(path), "rb")
-    except wave.Error as exc:
-        raise WavFormatError(f"{path}: not a readable WAV file ({exc})") from exc
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        # wave raises a bare EOFError or RuntimeError for a cut-short chunk
+        why = str(exc) or "a header or chunk is cut short"
+        raise WavFormatError(f"{path}: not a readable WAV file ({why})") from exc
     with reader:
         if reader.getnchannels() != 1:
             raise WavFormatError(
@@ -27,7 +30,11 @@ def read_wav(path) -> tuple[np.ndarray, int]:
                 f"{path}: expected 16-bit samples, got {8 * reader.getsampwidth()}-bit"
             )
         rate = reader.getframerate()
-        raw = reader.readframes(reader.getnframes())
+        declared = reader.getnframes()
+        raw = reader.readframes(declared)
+    if len(raw) != 2 * declared:
+        raise WavFormatError(f"{path}: data chunk holds {len(raw)} bytes, "
+                             f"its header declares {2 * declared}")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / _SCALE
     return samples, rate
 

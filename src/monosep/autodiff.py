@@ -8,25 +8,28 @@ numpy forward code, so one implementation serves training, evaluation and
 the finite-difference oracle.
 
 Tape nodes are apart from tensors. A recorded op's node holds only its
-output's gradient slot and its backward closure; the ``Tensor`` it returns
+output's gradient slot, its backward closure and where its inputs'
+gradients go; the ``Tensor`` it returns
 holds the output array and points to the node. The tape holds nodes, so an
 output array lives only as long as the model code or some closure keeps it.
 
 Every primitive has the same shape: it computes its forward array, defines
-a ``backward(g)`` closure that pushes gradients into its inputs with
-``_accum``, and returns ``_op(data, inputs, backward)``. A closure captures
-two kinds of things and nothing else: the arrays that the gradients it will
-compute read (``mul`` keeps ``b`` for ``a``'s gradient and ``a`` for
-``b``'s, ``silu`` its input, ``add`` and ``reshape`` nothing), and, per
-input, the gradient target ``grad_target`` gives: the input's node, the
-leaf tensor itself, or None when the input needs no gradient. It never
-captures an input ``Tensor``, which would keep that input's array alive
-until backward. ``_op`` is the one registration
-point: it wraps the array and, only when a tape is active and some input
-requires grad, gives the output a node and appends the node to the tape.
-Code outside this module registers fused primitives through ``make_op``
-and ``accumulate_grad``. ``Tensor`` has no operator overloads: every op is
-a call to a named primitive.
+a ``backward(g)`` closure that returns its input gradients, one per input
+in input order (None for an input that needs none), and returns
+``_op(data, inputs, backward)``, as ``torch.autograd.Function.backward``
+and ``jax.vjp`` do. A closure captures the arrays that the gradients it
+computes read (``mul`` keeps ``b`` for ``a``'s gradient and ``a`` for
+``b``'s, ``silu`` its input, ``add`` and ``reshape`` nothing) and which
+inputs need a gradient, and nothing else: never an input ``Tensor``,
+which would keep that input's array alive until backward. ``_op`` is the
+one registration point: it wraps the array and, only when a tape is
+active and some input requires grad, gives the output a node holding the
+closure and each input's gradient destination (the input's node, the leaf
+tensor itself, or None), and appends the node to the tape.
+``Tape.backward`` is the only place gradients are added into those
+destinations. Code outside this module registers fused primitives, with
+one output or several, through ``make_op``. ``Tensor`` has no operator
+overloads: every op is a call to a named primitive.
 
 Backward consumes the tape, like PyTorch's default (``retain_graph=False``):
 it pops each node, and once the node's closure has run drops its gradient
@@ -65,7 +68,7 @@ from __future__ import annotations
 
 import contextvars
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -76,15 +79,22 @@ _active_tape: contextvars.ContextVar["Tape | None"] = contextvars.ContextVar(
     "monosep_active_tape", default=None)
 
 
+# a backward closure: output gradient -> one gradient (or None) per input
+_Backward = Callable[[np.ndarray], Sequence[np.ndarray | None]]
+
+
 class _Node:
-    """A recorded op on the tape: its output's gradient slot and its
-    backward closure. The output array stays with the ``Tensor``."""
+    """A recorded op on the tape: its output's gradient slot, its backward
+    closure and its inputs' gradient destinations. The output array stays
+    with the ``Tensor``."""
 
-    __slots__ = ("grad", "backward")
+    __slots__ = ("grad", "backward", "targets")
 
-    def __init__(self, backward: Callable[[np.ndarray], None]):
+    def __init__(self, backward: _Backward,
+                 targets: tuple[_Node | Tensor | None, ...]):
         self.grad: np.ndarray | None = None
-        self.backward: Callable[[np.ndarray], None] | None = backward
+        self.backward: _Backward | None = backward
+        self.targets = targets
 
 
 class Tensor:
@@ -101,13 +111,13 @@ class Tensor:
         self._node: _Node | None = None
 
     @property
-    def _backward(self) -> Callable[[np.ndarray], None] | None:
+    def _backward(self) -> _Backward | None:
         """The backward closure of the op that recorded this tensor, None
         when no tape recorded it or backward has consumed it."""
         return None if self._node is None else self._node.backward
 
     @_backward.setter
-    def _backward(self, closure: Callable[[np.ndarray], None]) -> None:
+    def _backward(self, closure: _Backward) -> None:
         self._node.backward = closure
 
     @property
@@ -157,11 +167,13 @@ class Tape:
     def backward(self, root: Tensor) -> None:
         """Seed d(root)/d(root) = 1 and visit nodes in reverse execution order.
 
+        Each node's closure returns its input gradients, and this loop is
+        the only place they are added into the inputs' destinations.
         Backward consumes the tape: each node is popped, and once its
-        closure has run its gradient and closure are dropped, which frees
-        whatever only backward still needed (non-leaf gradients are not
-        kept). Leaf tensors, such as parameters, keep their gradients. A
-        second call raises ``TapeError``.
+        closure has run its gradient, closure and destinations are dropped,
+        which frees whatever only backward still needed (non-leaf gradients
+        are not kept). Leaf tensors, such as parameters, keep their
+        gradients. A second call raises ``TapeError``.
         """
         if self._consumed:
             raise TapeError("backward already ran on this tape; record a "
@@ -179,9 +191,15 @@ class Tape:
         while nodes:
             node = nodes.pop()
             if node.grad is not None and node.backward is not None:
-                node.backward(node.grad)
-            node.grad = None
-            node.backward = None
+                grads = node.backward(node.grad)
+                if len(grads) != len(node.targets):
+                    raise TapeError(f"backward returned {len(grads)} "
+                                    f"gradients for {len(node.targets)} inputs")
+                for target, g in zip(node.targets, grads):
+                    if target is not None and g is not None:
+                        _accum(target, g)
+                grads = g = None  # free them now, not at the next node
+            node.grad = node.backward = node.targets = None
 
 
 def as_tensor(x) -> Tensor:
@@ -202,25 +220,23 @@ def _pair(a, b) -> tuple[Tensor, Tensor]:
     return as_tensor(a), as_tensor(b)
 
 
-def _op(data, inputs: Iterable[Tensor],
-        backward: Callable[[np.ndarray], None]) -> Tensor:
+def _op(data, inputs: Sequence[Tensor], backward: _Backward) -> Tensor:
     """Wrap a primitive's forward array; when a tape is active and any
     input requires grad, give the output a node holding ``backward`` and
-    append the node to the tape. The only code that appends tape nodes."""
+    the inputs' gradient destinations, and append the node to the tape.
+    The only code that appends tape nodes."""
     out = Tensor(data)
     tape = _active_tape.get()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out._node = _Node(backward)
+        out._node = _Node(backward, tuple(map(_grad_target, inputs)))
         tape._nodes.append(out._node)
     return out
 
 
-def grad_target(t: Tensor) -> _Node | Tensor | None:
-    """Where backward accumulates ``t``'s gradient: its tape node, or the
-    tensor itself when it is a leaf; None when ``t`` needs no gradient.
-    Closures capture this instead of ``t``, so they do not keep ``t.data``
-    alive."""
+def _grad_target(t: Tensor) -> _Node | Tensor | None:
+    """Where backward adds ``t``'s gradient: its tape node, or the tensor
+    itself when it is a leaf; None when ``t`` needs no gradient."""
     if not t.requires_grad:
         return None
     return t if t._node is None else t._node
@@ -264,71 +280,61 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _pair(a, b)
-    ta, tb = grad_target(a), grad_target(b)
+    ra, rb = a.requires_grad, b.requires_grad
     sa, sb = a.data.shape, b.data.shape
 
     def backward(g):
-        if ta is not None:
-            _accum(ta, _unbroadcast(g, sa))
-        if tb is not None:
-            _accum(tb, _unbroadcast(g, sb))
+        return (_unbroadcast(g, sa) if ra else None,
+                _unbroadcast(g, sb) if rb else None)
 
     return _op(a.data + b.data, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
     a, b = _pair(a, b)
-    ta, tb = grad_target(a), grad_target(b)
+    ra, rb = a.requires_grad, b.requires_grad
     sa, sb = a.data.shape, b.data.shape
 
     def backward(g):
-        if ta is not None:
-            _accum(ta, _unbroadcast(g, sa))
-        if tb is not None:
-            _accum(tb, _unbroadcast(-g, sb))
+        return (_unbroadcast(g, sa) if ra else None,
+                _unbroadcast(-g, sb) if rb else None)
 
     return _op(a.data - b.data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = _pair(a, b)
-    ta, tb = grad_target(a), grad_target(b)
     sa, sb = a.data.shape, b.data.shape
     # each operand's gradient reads only the other operand
-    av = a.data if tb is not None else None
-    bv = b.data if ta is not None else None
+    av = a.data if b.requires_grad else None
+    bv = b.data if a.requires_grad else None
 
     def backward(g):
-        if ta is not None:
-            _accum(ta, _unbroadcast(g * bv, sa))
-        if tb is not None:
-            _accum(tb, _unbroadcast(g * av, sb))
+        return (None if bv is None else _unbroadcast(g * bv, sa),
+                None if av is None else _unbroadcast(g * av, sb))
 
     return _op(a.data * b.data, (a, b), backward)
 
 
 def div(a, b) -> Tensor:
     a, b = _pair(a, b)
-    ta, tb = grad_target(a), grad_target(b)
+    ra = a.requires_grad
     sa, sb = a.data.shape, b.data.shape
-    av = a.data if tb is not None else None
+    av = a.data if b.requires_grad else None
     bv = b.data
 
     def backward(g):
-        if ta is not None:
-            _accum(ta, _unbroadcast(g / bv, sa))
-        if tb is not None:
-            _accum(tb, _unbroadcast(-g * av / (bv * bv), sb))
+        return (_unbroadcast(g / bv, sa) if ra else None,
+                None if av is None else _unbroadcast(-g * av / (bv * bv), sb))
 
     return _op(a.data / b.data, (a, b), backward)
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    ta = grad_target(a)
 
     def backward(g):
-        _accum(ta, -g)
+        return (-g,)
 
     return _op(-a.data, (a,), backward)
 
@@ -348,15 +354,12 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(
             f"matmul batch axes disagree: {a.data.shape[0]} vs {b.data.shape[0]}"
         )
-    ta, tb = grad_target(a), grad_target(b)
-    av = a.data if tb is not None else None
-    bv = b.data if ta is not None else None
+    av = a.data if b.requires_grad else None
+    bv = b.data if a.requires_grad else None
 
     def backward(g):
-        if ta is not None:
-            _accum(ta, g @ np.swapaxes(bv, -1, -2))
-        if tb is not None:
-            _accum(tb, np.swapaxes(av, -1, -2) @ g)
+        return (None if bv is None else g @ np.swapaxes(bv, -1, -2),
+                None if av is None else np.swapaxes(av, -1, -2) @ g)
 
     return _op(a.data @ b.data, (a, b), backward)
 
@@ -365,10 +368,9 @@ def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.data.ndim != 2:
         raise DimensionError(f"transpose expects a 2-D tensor, got {a.data.shape}")
-    ta = grad_target(a)
 
     def backward(g):
-        _accum(ta, g.T)
+        return (g.T,)
 
     return _op(a.data.T, (a,), backward)
 
@@ -376,20 +378,19 @@ def transpose(a) -> Tensor:
 def permute(a, axes: Sequence[int]) -> Tensor:
     a = as_tensor(a)
     axes = tuple(axes)
-    ta = grad_target(a)
 
     def backward(g):
-        _accum(ta, np.transpose(g, np.argsort(axes)))
+        return (np.transpose(g, np.argsort(axes)),)
 
     return _op(np.transpose(a.data, axes), (a,), backward)
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    ta, sa = grad_target(a), a.data.shape
+    sa = a.data.shape
 
     def backward(g):
-        _accum(ta, g.reshape(sa))
+        return (g.reshape(sa),)
 
     return _op(a.data.reshape(shape), (a,), backward)
 
@@ -400,12 +401,12 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     idx = [slice(None)] * a.data.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
-    ta, sa, dtype = grad_target(a), a.data.shape, a.data.dtype
+    sa, dtype = a.data.shape, a.data.dtype
 
     def backward(g):
         full = np.zeros(sa, dtype=dtype)
         full[idx] = g
-        _accum(ta, full)
+        return (full,)
 
     return _op(a.data[idx], (a,), backward)
 
@@ -423,40 +424,39 @@ def pad_axis_end(a, axis: int, extra: int) -> Tensor:
     # zeros plus a slice copy: np.pad's result without its per-call cost
     out = np.zeros(shape, dtype=a.data.dtype)
     out[keep] = a.data
-    ta = grad_target(a)
 
     def backward(g):
-        _accum(ta, g[keep])
+        return (g[keep],)
 
     return _op(out, (a,), backward)
 
 
 def sum_all(a) -> Tensor:
     a = as_tensor(a)
-    ta, sa = grad_target(a), a.data.shape
+    sa = a.data.shape
 
     def backward(g):
-        _accum(ta, np.broadcast_to(g, sa))
+        return (np.broadcast_to(g, sa),)
 
     return _op(a.data.sum(), (a,), backward)
 
 
 def mean_all(a) -> Tensor:
     a = as_tensor(a)
-    ta, sa, size = grad_target(a), a.data.shape, a.data.size
+    sa, size = a.data.shape, a.data.size
 
     def backward(g):
-        _accum(ta, np.broadcast_to(g / size, sa))
+        return (np.broadcast_to(g / size, sa),)
 
     return _op(a.data.mean(), (a,), backward)
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    ta, x = grad_target(a), a.data
+    x = a.data
 
     def backward(g):
-        _accum(ta, g / x)
+        return (g / x,)
 
     return _op(np.log(x), (a,), backward)
 
@@ -468,20 +468,20 @@ def log(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    ta, x = grad_target(a), a.data
+    x = a.data
 
     def backward(g):
-        _accum(ta, g * (x > 0))
+        return (g * (x > 0),)
 
     return _op(np.maximum(x, 0), (a,), backward)
 
 
 def relu_squared(a) -> Tensor:
     a = as_tensor(a)
-    ta, pos = grad_target(a), np.maximum(a.data, 0)
+    pos = np.maximum(a.data, 0)
 
     def backward(g):
-        _accum(ta, g * (2.0 * pos))
+        return (g * (2.0 * pos),)
 
     return _op(pos * pos, (a,), backward)
 
@@ -507,20 +507,20 @@ def _times(g: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    ta, s = grad_target(a), _logistic(a.data)
+    s = _logistic(a.data)
 
     def backward(g):
         # g * (s * (1 - s)), one temporary
         d = np.subtract(1.0, s, out=np.empty_like(s))
         d *= s
-        _accum(ta, _times(g, d))
+        return (_times(g, d),)
 
     return _op(s, (a,), backward)
 
 
 def silu(a) -> Tensor:
     a = as_tensor(a)
-    ta, x = grad_target(a), a.data
+    x = a.data
     s = _logistic(x)
 
     def backward(g):
@@ -529,7 +529,7 @@ def silu(a) -> Tensor:
         d *= x
         d += 1.0
         d *= s
-        _accum(ta, _times(g, d))
+        return (_times(g, d),)
 
     return _op(x * s, (a,), backward)
 
@@ -541,13 +541,13 @@ _GELU_A = 0.044715
 def gelu(a) -> Tensor:
     """GELU, tanh approximation (keeps the package free of an erf dependency)."""
     a = as_tensor(a)
-    ta, x = grad_target(a), a.data
+    x = a.data
     inner = _GELU_C * (x + _GELU_A * x * x * x)
     t = np.tanh(inner)
 
     def backward(g):
         d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-        _accum(ta, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner))
+        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner),)
 
     return _op(0.5 * x * (1.0 + t), (a,), backward)
 
@@ -601,10 +601,8 @@ def dropout(a, p: float, rng: np.random.Generator | None) -> Tensor:
         out *= scale
         return out
 
-    ta = grad_target(a)
-
     def backward(g):
-        _accum(ta, masked(g))
+        return (masked(g),)
 
     return _op(masked(a.data), (a,), backward)
 
@@ -669,17 +667,14 @@ def conv1d(x, weight, bias, stride: int) -> Tensor:
 
     out_data, win = _frame_contract(x.data, weight.data, stride)
     out_data += bias.data
-    tx, tw, tb = grad_target(x), grad_target(weight), grad_target(bias)
+    rx, rb = x.requires_grad, bias.requires_grad
     # the window view holds x: keep it only for the weight gradient
-    win, w = (win if tw is not None else None), weight.data
+    win, w = (win if weight.requires_grad else None), weight.data
 
     def backward(g):
-        if tb is not None:
-            _accum(tb, _sum_rows(g))
-        if tw is not None:
-            _accum(tw, np.tensordot(g, win, axes=(0, 0)))
-        if tx is not None:
-            _accum(tx, _contract_overlap_add(g, w, stride, L))
+        return (_contract_overlap_add(g, w, stride, L) if rx else None,
+                None if win is None else np.tensordot(g, win, axes=(0, 0)),
+                _sum_rows(g) if rb else None)
 
     return _op(out_data, (x, weight, bias), backward)
 
@@ -708,15 +703,13 @@ def transposed_conv1d(x, weight, stride: int) -> Tensor:
 
     lout = (L - 1) * stride + K
     out_data = _contract_overlap_add(x.data, weight.data, stride, lout)
-    tx, tw = grad_target(x), grad_target(weight)
-    xv, w = (x.data if tw is not None else None), weight.data
+    rx = x.requires_grad
+    xv, w = (x.data if weight.requires_grad else None), weight.data
 
     def backward(g):
         gx, win = _frame_contract(g, w, stride)
-        if tx is not None:
-            _accum(tx, gx)
-        if tw is not None:
-            _accum(tw, np.tensordot(xv, win, axes=(0, 0)))
+        return (gx if rx else None,
+                None if xv is None else np.tensordot(xv, win, axes=(0, 0)))
 
     return _op(out_data, (x, weight), backward)
 
@@ -835,15 +828,16 @@ def depthwise_conv1d(x, weight) -> Tensor:
         return _depthwise_windows(_channels_major(a, pad, width, dtype), B, K)
 
     out_data = _depthwise_gemm(windows(x.data), weight.data, L)
-    tx, tw = grad_target(x), grad_target(weight)
+    rx = x.requires_grad
     # the weight gradient reads x; the taps are kept whole, being small
-    xv, w = (x.data if tw is not None else None), weight.data
+    xv, w = (x.data if weight.requires_grad else None), weight.data
 
     def backward(g):
         # the packing is rebuilt from x, which the closure holds anyway,
         # rather than keeping a second input-sized copy until backward
         gp = _channels_major(g, pad, width, np.result_type(g, dtype))
-        if tw is not None:
+        gx = gw = None
+        if xv is not None:
             # gw[c, k] = sum_s g[s, c] * xp[c, s + k]: per channel, the
             # blocks of g transposed times the windows, (B, B + K - 1),
             # then summed along its K diagonals m[i, i + k]
@@ -852,12 +846,12 @@ def depthwise_conv1d(x, weight) -> Tensor:
             s = m.strides
             diagonals = np.lib.stride_tricks.as_strided(
                 m, (C, K, B), (s[0], s[2], s[1] + s[2]), writeable=False)
-            _accum(tw, diagonals.sum(axis=2).astype(w.dtype, copy=False))
-        if tx is not None:
+            gw = diagonals.sum(axis=2).astype(w.dtype, copy=False)
+        if rx:
             # the adjoint of a symmetric same-length correlation is the
             # same correlation with the taps reversed
-            _accum(tx, _depthwise_gemm(_depthwise_windows(gp, B, K),
-                                       w[:, ::-1], L))
+            gx = _depthwise_gemm(_depthwise_windows(gp, B, K), w[:, ::-1], L)
+        return gx, gw
 
     return _op(out_data, (x, weight), backward)
 
@@ -888,15 +882,12 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     var = np.einsum("sn,sn->s", xhat, xhat) * (1.0 / N)
     inv_std = (1.0 / np.sqrt(var + eps))[:, None]
     xhat *= inv_std
-    tx, tg, tb = grad_target(x), grad_target(gain), grad_target(bias)
+    rx, rg, rb = x.requires_grad, gain.requires_grad, bias.requires_grad
     gv = gain.data
 
     def backward(g):
-        if tb is not None:
-            _accum(tb, _sum_rows(g))
-        if tg is not None:
-            _accum(tg, np.einsum("sn,sn->n", g, xhat))
-        if tx is not None:
+        gx = None
+        if rx:
             # d/dx of (x - mean) * inv_std, both mean and var depend on x:
             # inv_std * (gh - mean(gh) - xhat * mean(gh * xhat))
             gx = g * gv
@@ -904,7 +895,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             gx -= _mean_cols(gx)[:, None]
             gx -= xhat * proj[:, None]
             gx *= inv_std
-            _accum(tx, gx)
+        return (gx, np.einsum("sn,sn->n", g, xhat) if rg else None,
+                _sum_rows(g) if rb else None)
 
     out = xhat * gain.data
     out += bias.data
@@ -923,31 +915,35 @@ def linear(x, weight, bias) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def make_op(data: np.ndarray, inputs: Iterable[Tensor],
-            backward: Callable[[np.ndarray], None]) -> Tensor:
+def make_op(data: np.ndarray | tuple[np.ndarray, ...], inputs: Sequence[Tensor],
+            backward: Callable) -> Tensor | tuple[Tensor, ...]:
     """Register a fused primitive: forward result + backward closure.
 
-    The closure receives the output gradient and must push gradients into
-    its inputs via ``accumulate_grad``. Like the built-in primitives, it
-    should capture only the arrays it reads and each input's
-    ``grad_target``, not the input tensors, so that no input array outlives
-    its last use for longer than backward needs it.
+    Like a built-in primitive's, the closure returns one gradient per
+    input, in input order, None for an input that needs none, and captures
+    only the arrays it reads and which inputs need a gradient, never an
+    input tensor, so that no input array outlives its last use for longer
+    than backward needs it.
 
-    A primitive with several outputs calls ``make_op`` once per output,
-    with one shared closure, in order, with nothing recorded in between,
-    and after the calls keeps ``grad_target`` of each output (its node),
-    not the outputs. The tape then visits the last output first, when every
-    output's gradient is complete, so the closure runs once there, reads
-    each output's gradient from its node's ``grad`` (None means no gradient
-    reached it) and does nothing when the tape visits the others.
+    ``data`` may be a tuple of output arrays: ``make_op`` then returns a
+    tuple of tensors, and the closure runs once, on the tuple of the
+    outputs' gradients (None for an output no gradient reached).
     """
-    return _op(data, inputs, backward)
+    if not isinstance(data, tuple):
+        return _op(data, inputs, backward)
+    nodes = []
 
+    def backward_once(_g):
+        # the outputs' nodes sit next to each other on the tape, so every
+        # output's gradient is complete at the first of them the tape runs
+        grads = tuple(node.grad for node in nodes)
+        for node in nodes:
+            node.backward = None  # the tape skips the others
+        return backward(grads)
 
-def accumulate_grad(target: _Node | Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into the gradient of ``target``, an input's
-    ``grad_target``, without aliasing; for make_op closures."""
-    _accum(target, g)
+    outputs = tuple(_op(d, inputs, backward_once) for d in data)
+    nodes += [out._node for out in outputs]
+    return outputs
 
 
 # ---------------------------------------------------------------------------

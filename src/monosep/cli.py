@@ -85,6 +85,8 @@ def build_configs(pairs) -> tuple[ModelConfig, TrainConfig, dict[str, int]]:
     for key in ("data_count", "data_samples"):
         if data[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {data[key]}")
+    if data["data_seed"] < 0:
+        raise ConfigError(f"data_seed must be >= 0, got {data['data_seed']}")
     return preset(preset_name, **overrides), tcfg.validate(), data
 
 
@@ -123,8 +125,8 @@ def cmd_separate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = restore_model(load_checkpoint(args.ckpt))
     _, _, data_opts = build_configs(collect_pairs(args))
+    model = restore_model(load_checkpoint(args.ckpt))
     data = synth_data(model.config, data_opts)
     loss = dataset_loss(model, data)
     gain = dataset_si_sdri(model, data)

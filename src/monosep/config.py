@@ -104,6 +104,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_steps < 0:
             raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
+        if self.seed < 0:  # numpy seeds only take non-negative integers
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.lr_decay <= 1.0:
             # a factor outside (0, 1] would zero, grow or flip the rate
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")

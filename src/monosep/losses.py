@@ -46,7 +46,7 @@ def si_sdr(est, ref, eps: float = _EPS) -> ad.Tensor:
     target_energy = (target * target).sum() + eps
     residual_energy = (residual * residual).sum() + eps
     value = np.log(target_energy / residual_energy) * _DB_SCALE
-    t_est, dtype = ad.grad_target(est), est.dtype
+    dtype = est.dtype
 
     def backward(g):
         # d/de of _DB_SCALE * (ln target_energy - ln residual_energy),
@@ -59,7 +59,7 @@ def si_sdr(est, ref, eps: float = _EPS) -> ad.Tensor:
         # adjoint of the centering: subtract the mean gradient
         ge -= ge.mean()
         ge *= g * _DB_SCALE
-        ad.accumulate_grad(t_est, ge.astype(dtype, copy=False))
+        return (ge.astype(dtype, copy=False),)
 
     return ad.make_op(value, (est,), backward)
 

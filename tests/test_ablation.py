@@ -52,6 +52,11 @@ class TestSuites:
         with pytest.raises(ConfigError, match="unknown ablation suite"):
             small_run("nonsense")
 
+    def test_budget_below_one_rejected(self):
+        # max_steps=0 would train each variant for a whole epoch
+        with pytest.raises(ConfigError, match="budget"):
+            small_run("gating", budget=0)
+
     def test_variant_losses_distinct(self):
         report = small_run("attention_mode", budget=4)
         losses = [r.loss for r in report.rows]

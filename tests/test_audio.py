@@ -61,6 +61,29 @@ class TestFormatErrors:
         with pytest.raises(WavFormatError, match="not a readable WAV"):
             audio.read_wav(path)
 
+    @pytest.mark.parametrize("keep,match", [
+        (0, "cut short"),              # an empty file
+        (24, "cut short"),             # the file ends inside the fmt chunk
+        (44, "holds 0 bytes.*declares 20"),   # the header alone
+        (45, "holds 1 bytes.*declares 20"),   # data cut to an odd count
+        (50, "holds 6 bytes.*declares 20"),   # data cut to an even count
+    ])
+    def test_truncated_file_rejected(self, tmp_path, keep, match):
+        path = tmp_path / "t.wav"
+        audio.write_wav(path, np.zeros(10), 8000)  # 44-byte header
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(WavFormatError, match=match):
+            audio.read_wav(path)
+
+    def test_chunk_overrunning_the_file_rejected(self, tmp_path):
+        path = tmp_path / "o.wav"
+        audio.write_wav(path, np.zeros(10), 8000)
+        raw = bytearray(path.read_bytes())
+        raw[16] = 0xFB  # fmt chunk size 251, past the RIFF chunk's end
+        path.write_bytes(bytes(raw))
+        with pytest.raises(WavFormatError, match="cut short"):
+            audio.read_wav(path)
+
     def test_2d_write_rejected(self, tmp_path):
         with pytest.raises(WavFormatError, match="1-D"):
             audio.write_wav(tmp_path / "x.wav", np.zeros((2, 4)), 8000)

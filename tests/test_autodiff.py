@@ -52,8 +52,8 @@ PRIMITIVES = {
                           [(5, 2), (2, 3, 4)]),
     "depthwise_conv1d": (ad.depthwise_conv1d, [(9, 2), (2, 3)]),
     "layer_norm": (ad.layer_norm, [(4, 3), (3,), (3,)]),
-    "make_op": (lambda a: ad.make_op(
-        2.0 * a.data, [a], lambda g: ad.accumulate_grad(a, 2.0 * g)), [(3,)]),
+    "make_op": (lambda a: ad.make_op(2.0 * a.data, [a], lambda g: (2.0 * g,)),
+                [(3,)]),
 }
 
 
@@ -735,8 +735,8 @@ FUSED = {
 
 def reachable(closure):
     """Every object a backward closure reaches through its cells, the cells
-    of nested functions and the items of lists and tuples; tape nodes are
-    gradient targets and are not entered."""
+    of nested functions and the items of lists and tuples; tape nodes (a
+    multi-output op's closure holds its outputs' nodes) are not entered."""
     found, seen = [], set()
     stack = [closure]
     while stack:
@@ -757,8 +757,7 @@ class TestLiveness:
     as soon as the caller drops it; one that a closure reads lives until
     backward."""
 
-    @pytest.mark.parametrize("name", sorted(set(PRIMITIVES) - {"make_op"})
-                             + sorted(FUSED))
+    @pytest.mark.parametrize("name", sorted(PRIMITIVES) + sorted(FUSED))
     def test_closures_capture_no_recorded_tensor(self, name):
         fn, shapes = {**PRIMITIVES, **FUSED}[name]
         rng = np.random.default_rng(0)
@@ -820,6 +819,102 @@ class TestLiveness:
             tape.backward(loss)
         assert all(ref() is None for ref in refs)
         np.testing.assert_allclose(x.grad, 2.0 * x.data + 3.0)
+
+
+# (case, input index) pairs whose output takes no gradient from that input:
+# si_sdr is differentiable in the estimate only, and the local_attention
+# case keeps the attended values, which do not read the gates
+NO_GRADIENT = {("si_sdr", 1), ("local_attention", 3)}
+
+
+class TestBackwardContract:
+    """Closures return one gradient per input and ``Tape.backward`` adds
+    them; ``make_op`` also registers ops with several outputs."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name,index", [
+        (name, i) for name, (_, shapes) in {**PRIMITIVES, **FUSED}.items()
+        for i in range(len(shapes))])
+    def test_each_input_gets_its_own_shape_and_dtype(self, name, index,
+                                                     dtype):
+        fn, shapes = {**PRIMITIVES, **FUSED}[name]
+        rng = np.random.default_rng(0)
+        inputs = [ad.Tensor(rng.uniform(0.5, 1.5, size=s).astype(dtype),
+                            requires_grad=i == index)
+                  for i, s in enumerate(shapes)]
+        with ad.Tape() as tape:
+            tape.backward(ad.sum_all(fn(*inputs)))
+        grad = inputs[index].grad
+        if (name, index) in NO_GRADIENT:
+            assert grad is None
+        else:
+            assert grad.shape == shapes[index] and grad.dtype == dtype
+        assert all(t.grad is None for i, t in enumerate(inputs) if i != index)
+
+    @staticmethod
+    def two_outputs(x, calls):
+        """(2x, 3x) as one op; its closure logs the gradients it gets."""
+        def backward(grads):
+            calls.append(grads)
+            g0, g1 = (np.zeros_like(x.data) if g is None else g
+                      for g in grads)
+            return (2.0 * g0 + 3.0 * g1,)
+
+        return ad.make_op((2.0 * x.data, 3.0 * x.data), [x], backward)
+
+    @pytest.mark.parametrize("used", [(0,), (1,), (0, 1), (1, 0)])
+    def test_closure_runs_once_on_every_output_gradient(self, used):
+        x = ad.Tensor(np.linspace(-1.0, 1.0, 4), requires_grad=True)
+        scale = (5.0, 7.0)
+        calls = []
+        with ad.Tape() as tape:
+            outs = self.two_outputs(x, calls)
+            assert len(tape) == 2  # one node per output
+            terms = [ad.sum_all(ad.mul(outs[i], scale[i])) for i in used]
+            loss = terms[0] if len(terms) == 1 else ad.add(*terms)
+            tape.backward(loss)
+        assert len(calls) == 1
+        for i, g in enumerate(calls[0]):
+            if i in used:
+                np.testing.assert_array_equal(g, np.full(4, scale[i]))
+            else:
+                assert g is None  # no gradient reached this output
+        want = sum((2.0, 3.0)[i] * scale[i] for i in used)
+        np.testing.assert_array_equal(x.grad, np.full(4, want))
+
+    def test_no_tape_means_no_nodes(self):
+        x = ad.Tensor(np.ones(3), requires_grad=True)
+        calls = []
+        outs = self.two_outputs(x, calls)
+        assert all(not o.requires_grad and o._backward is None for o in outs)
+        with ad.Tape() as tape:
+            outs = self.two_outputs(ad.Tensor(np.ones(3)), calls)
+        assert len(tape) == 0
+        assert all(not o.requires_grad and o._backward is None for o in outs)
+        np.testing.assert_array_equal(outs[1].data, np.full(3, 3.0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_local_attention_gates_gradient(self, dtype):
+        # only the attended gates reach the loss: the values get none
+        rng = np.random.default_rng(4)
+        shapes = [(7, 2), (7, 2), (7, 3), (7, 3)]
+        inputs = [ad.Tensor(rng.normal(size=s).astype(dtype),
+                            requires_grad=True) for s in shapes]
+        with ad.Tape() as tape:
+            _, attended_gates = attn.local_attention(*inputs, 3)
+            tape.backward(ad.sum_all(attended_gates))
+        q, k, values, gates = inputs
+        assert values.grad is None
+        for t in (q, k, gates):
+            assert t.grad.shape == t.shape and t.grad.dtype == dtype
+
+    def test_wrong_gradient_count_raises(self):
+        x = ad.Tensor(np.ones(3), requires_grad=True)
+        with ad.Tape() as tape:
+            y = ad.make_op(x.data * 2.0, [x, ad.Tensor(1.0)],
+                           lambda g: (2.0 * g,))
+            with pytest.raises(TapeError, match="returned 1 gradients for 2 inputs"):
+                tape.backward(ad.sum_all(y))
 
 
 class TestGradientCheck:

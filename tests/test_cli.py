@@ -54,6 +54,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=key):
             cli.build_configs({key: value})
 
+    def test_negative_data_seed_rejected(self):
+        with pytest.raises(ConfigError, match="data_seed"):
+            cli.build_configs({"data_seed": "-1"})
+
     def test_defaults_without_file(self):
         mcfg, tcfg, data = cli.build_configs({})
         assert mcfg == ModelConfig(preset="tiny")
@@ -166,3 +170,27 @@ class TestCommands:
         assert code == 2
         assert "batch_size" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "gradcheck"])
+    @pytest.mark.parametrize("key", ["seed", "data_seed"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command, key):
+        args = [command, "--set", f"{key}=-1"]
+        if command == "eval":
+            args += ["--ckpt", str(tmp_path / "missing.ckpt")]
+        assert cli.main(args) == 2
+        assert f"error: {key} must be >= 0" in capsys.readouterr().err
+
+    def test_separate_rejects_malformed_wavs(self, tmp_path, capsys):
+        cli.main(train_args(tmp_path))
+        good = tmp_path / "good.wav"
+        write_wav(good, np.zeros(600), 8000)
+        raw = good.read_bytes()
+        # empty, cut inside the header, data cut to an odd byte count
+        for name, data in [("empty", b""), ("header", raw[:24]),
+                           ("odd", raw[:45])]:
+            wav = tmp_path / f"{name}.wav"
+            wav.write_bytes(data)
+            code = cli.main(["separate", str(wav),
+                             "--ckpt", str(tmp_path / "m.ckpt")])
+            assert code == 2
+            assert capsys.readouterr().err.startswith(f"error: {wav}: ")

@@ -273,7 +273,7 @@ class TestTrainLoop:
     @pytest.mark.parametrize("field,value", [
         ("batch_size", 0), ("batch_size", -1), ("max_steps", -1),
         ("lr_decay", -1.0), ("lr_decay", 0.0), ("lr_decay", 1.5),
-        ("patience", -3),
+        ("patience", -3), ("seed", -1),
     ])
     def test_invalid_train_config_rejected(self, field, value):
         model, data = tiny_setup(seed=18)
