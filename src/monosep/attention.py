@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import autodiff as ad
-from .conv_module import ConvModuleParams, DenseParams, init_projection
+from .conv_module import ConvModuleParams, init_conv_module
 from .errors import ConfigError
 
 if TYPE_CHECKING:  # config imports this module for _MODES
@@ -61,7 +61,7 @@ def rope(x, base: float = 10000.0) -> ad.Tensor:
 
 @dataclass
 class AttentionParams:
-    shared: ConvModuleParams | DenseParams  # N -> D
+    shared: ConvModuleParams  # N -> D
     local_q_scale: ad.Tensor
     local_q_offset: ad.Tensor
     local_k_scale: ad.Tensor
@@ -81,13 +81,15 @@ def init_attention(
     store: ad.ParamStore, prefix: str, cfg: ModelConfig,
     rng: np.random.Generator,
 ) -> AttentionParams:
-    shared = init_projection(store, f"{prefix}.shared", cfg.n_feat,
-                             cfg.attn_dim, cfg, cfg.dense_qk, rng)
+    shared = init_conv_module(store, f"{prefix}.shared", cfg.n_feat,
+                              cfg.attn_dim,
+                              None if cfg.dense_qk else cfg.dw_kernel,
+                              cfg.dropout_p, rng)
 
     def pair(name):
         return (
-            store.add(f"{prefix}.{name}_scale", np.ones(cfg.attn_dim)),
-            store.add(f"{prefix}.{name}_offset", np.zeros(cfg.attn_dim)),
+            store.param(f"{prefix}.{name}_scale", (cfg.attn_dim,), np.ones),
+            store.param(f"{prefix}.{name}_offset", (cfg.attn_dim,), np.zeros),
         )
 
     lq, lqo = pair("local_q")

@@ -951,15 +951,21 @@ def make_op(data: np.ndarray | tuple[np.ndarray, ...], inputs: Sequence[Tensor],
 # ---------------------------------------------------------------------------
 
 
+def uniform(bound: float, rng: np.random.Generator):
+    """Initializer for ``ParamStore.param``: U(-bound, bound) drawn with ``rng``."""
+    return lambda shape: rng.uniform(-bound, bound, shape)
+
+
 class ParamStore:
     """Named trainable tensors with gradient slots allocated on demand.
 
-    Names are unique and hierarchical ("block0.convm_u.proj_w"); every entry
-    requires grad. ``add`` leaves ``grad`` as ``None``, so a model that only
-    runs forward (``separate``) holds its weights and nothing else;
-    ``zero_grad`` gives every entry a zero gradient of its value's shape,
-    and a backward pass without it writes a gradient only into the entries
-    on the path to the loss.
+    Names are unique and hierarchical ("net.block0.gate.proj_w"); every
+    entry requires grad. Model init code declares each parameter with
+    ``param``; ``add`` registers a given array. Both leave ``grad`` as
+    ``None``, so a model that only runs forward (``separate``) holds its
+    weights and nothing else; ``zero_grad`` gives every entry a zero
+    gradient of its value's shape, and a backward pass without it writes a
+    gradient only into the entries on the path to the loss.
     """
 
     def __init__(self, dtype=np.float64):
@@ -972,10 +978,11 @@ class ParamStore:
         return self._register(name, np.array(value, dtype=self.dtype,
                                              order="C"))
 
-    def uniform(self, name: str, shape: tuple, bound: float,
-                rng: np.random.Generator) -> Tensor:
-        """Register ``name`` drawn from U(-bound, bound) with ``rng``."""
-        return self.add(name, rng.uniform(-bound, bound, shape))
+    def param(self, name: str, shape: tuple, init) -> Tensor:
+        """Declare ``name`` of ``shape``: the base store registers
+        ``init(shape)`` (``np.ones``, ``np.zeros`` or ``uniform(bound, rng)``)
+        in its dtype; a subclass may take the value from elsewhere."""
+        return self.add(name, init(shape))
 
     def _register(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._entries:

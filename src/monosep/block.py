@@ -16,14 +16,13 @@ import numpy as np
 from . import autodiff as ad
 from .attention import AttentionParams, init_attention, joint_attention
 from .config import ModelConfig
-from .conv_module import ConvModuleParams, DenseParams, init_conv_module, \
-    init_projection
+from .conv_module import ConvModuleParams, init_conv_module
 
 
 @dataclass
 class BlockParams:
-    to_gate: ConvModuleParams | DenseParams  # N -> 2N
-    to_value: ConvModuleParams | DenseParams  # N -> 2N
+    to_gate: ConvModuleParams  # N -> 2N
+    to_value: ConvModuleParams  # N -> 2N
     attn: AttentionParams
     out_proj: ConvModuleParams  # 2N -> N
     single_gate: bool  # drop the phi(gate * attended-value) factor
@@ -35,11 +34,12 @@ def init_block(
     rng: np.random.Generator,
 ) -> BlockParams:
     n_feat, wide = cfg.n_feat, 2 * cfg.n_feat
+    uv_kernel = None if cfg.dense_uv else cfg.dw_kernel
     return BlockParams(
-        to_gate=init_projection(store, f"{prefix}.gate", n_feat, wide, cfg,
-                                cfg.dense_uv, rng),
-        to_value=init_projection(store, f"{prefix}.value", n_feat, wide, cfg,
-                                 cfg.dense_uv, rng),
+        to_gate=init_conv_module(store, f"{prefix}.gate", n_feat, wide,
+                                 uv_kernel, cfg.dropout_p, rng),
+        to_value=init_conv_module(store, f"{prefix}.value", n_feat, wide,
+                                  uv_kernel, cfg.dropout_p, rng),
         attn=init_attention(store, f"{prefix}.attn", cfg, rng),
         out_proj=init_conv_module(store, f"{prefix}.out", wide, n_feat,
                                   cfg.dw_kernel, cfg.dropout_p, rng),

@@ -21,7 +21,11 @@ arrays bit-exactly. Each data section (parameters, first moments, second
 moments) is read into its own buffer and its arrays are aligned, writeable
 views of that buffer, so the file is never held in memory as a whole and a
 model restored from the parameters does not keep the moments alive.
-``restore_model`` adopts the parameter arrays as they are, without a copy.
+``restore_model`` adopts the parameter arrays as they are, without a copy
+and without drawing: the config's init code declares each parameter, and
+the first one the table lacks or holds at another shape, or any table
+entry left over, raises CheckpointError. Nothing is allocated at the
+config's size, so a hostile header costs no more than its table.
 """
 
 from __future__ import annotations
@@ -212,53 +216,30 @@ def _read_section(f, path, kind: str, layout, section_len: int) -> dict:
     return arrays
 
 
+def _disagreement(problem: str) -> CheckpointError:
+    return CheckpointError(
+        f"parameter table disagrees with the checkpoint's config: {problem}")
+
+
 class _AdoptingStore(ad.ParamStore):
-    """The store ``restore_model`` builds into: ``add`` and ``uniform``
-    register the table's array under each name, without a copy, in place of
-    the initializer's value, so an adopted weight costs no draw; each name
-    it cannot adopt is noted so that ``check_table`` can report all of them."""
+    """The store ``restore_model`` builds into: ``param`` registers the
+    table's array under each name, without a copy and without calling the
+    initializer, and raises at the first name the table lacks or holds at
+    another shape, so a config that disagrees with the table allocates
+    nothing."""
 
     def __init__(self, dtype, table: dict[str, np.ndarray]):
         super().__init__(dtype)
         self.table = table
-        self.missing: list[str] = []
-        self.misfit: str | None = None  # the first shape mismatch
 
-    def add(self, name: str, value) -> ad.Tensor:
-        t = self._adopt(name, np.shape(value))
-        return super().add(name, value) if t is None else t
-
-    def uniform(self, name: str, shape: tuple, bound: float,
-                rng: np.random.Generator) -> ad.Tensor:
-        t = self._adopt(name, shape)
-        return super().uniform(name, shape, bound, rng) if t is None else t
-
-    def _adopt(self, name: str, shape: tuple) -> ad.Tensor | None:
-        """Register the table's array as ``name``; None when the table has
-        no such name or its array is not of ``shape``."""
+    def param(self, name: str, shape: tuple, init) -> ad.Tensor:
         if name not in self.table:
-            self.missing.append(name)
-            return None
+            raise _disagreement(f"missing={[name]}")
         arr = np.asarray(self.table[name], dtype=self.dtype, order="C")
-        if arr.shape != tuple(shape):
-            self.misfit = self.misfit or (
-                f"parameter {name!r} shape mismatch: "
-                f"{arr.shape} vs {tuple(shape)}")
-            return None
+        if arr.shape != shape:
+            raise _disagreement(
+                f"parameter {name!r} shape mismatch: {arr.shape} vs {shape}")
         return self._register(name, arr)
-
-    def check_table(self) -> None:
-        extra = set(self.table) - {name for name, _ in self.items()}
-        if self.missing or extra:
-            problem = (f"parameter set mismatch: missing={sorted(self.missing)}"
-                       f" extra={sorted(extra)}")
-        else:
-            problem = self.misfit
-        self.table = {}  # the model keeps its arrays, not the caller's dict
-        if problem:
-            raise CheckpointError(
-                f"parameter table disagrees with the checkpoint's config: "
-                f"{problem}")
 
 
 def restore_model(ckpt: Checkpoint) -> SeparationModel:
@@ -268,10 +249,11 @@ def restore_model(ckpt: Checkpoint) -> SeparationModel:
     dtypes = {arr.dtype.base for arr in ckpt.params.values()}
     if len(dtypes) > 1:
         raise CheckpointError(f"mixed parameter dtypes in checkpoint: {dtypes}")
-    # an empty table builds at float32 and fails the table check, which
-    # names every missing parameter
+    # an empty table builds at float32 and fails at the first parameter
     store = _AdoptingStore(dtypes.pop() if dtypes else np.float32,
                            ckpt.params)
     model = init_model(store, ckpt.config)
-    store.check_table()
+    extra = set(ckpt.params) - {name for name, _ in store.items()}
+    if extra:
+        raise _disagreement(f"extra={sorted(extra)}")
     return model

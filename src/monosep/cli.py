@@ -38,8 +38,12 @@ _HANDLED_ERRORS = (ConfigError, DimensionError, NumericalError,
 
 def parse_config_file(path) -> dict[str, str]:
     """Flat key=value lines; '#' starts a comment, blank lines are skipped."""
+    try:
+        content = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config file is not UTF-8: {exc}") from None
     pairs = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(content.splitlines(), 1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue

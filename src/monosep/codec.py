@@ -32,13 +32,11 @@ def init_codec(
 ) -> CodecParams:
     if kernel < 2 or kernel % 2 != 0:
         raise ConfigError(f"codec kernel must be even and >= 2, got {kernel}")
-    bound = 1.0 / math.sqrt(kernel)
+    init = ad.uniform(1.0 / math.sqrt(kernel), rng)
     return CodecParams(
-        enc_weight=store.uniform(f"{prefix}.enc_w", (n_feat, 1, kernel),
-                                 bound, rng),
-        enc_bias=store.add(f"{prefix}.enc_b", np.zeros(n_feat)),
-        dec_weight=store.uniform(f"{prefix}.dec_w", (n_feat, 1, kernel),
-                                 bound, rng),
+        enc_weight=store.param(f"{prefix}.enc_w", (n_feat, 1, kernel), init),
+        enc_bias=store.param(f"{prefix}.enc_b", (n_feat,), np.zeros),
+        dec_weight=store.param(f"{prefix}.dec_w", (n_feat, 1, kernel), init),
     )
 
 

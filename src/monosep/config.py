@@ -3,6 +3,7 @@ a desk-scale "tiny" preset for tests."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .attention import _MODES
@@ -94,10 +95,13 @@ class TrainConfig:
     max_steps: int = 0  # stop after this many optimizer steps; 0 = no cap
 
     def validate(self) -> "TrainConfig":
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.clip_norm <= 0:
-            raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
+        for name in ("lr", "clip_norm"):
+            value = getattr(self, name)
+            # NaN passes every comparison check: clip_norm=nan would turn
+            # clipping off, since no norm is > nan
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(
+                    f"{name} must be positive and finite, got {value}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.batch_size < 1:

@@ -9,22 +9,21 @@ frame.
 
 Used in three widths inside each block (feature-to-gate/value at 2N, the
 shared attention representation at D, and the output projection back to N).
-A dense variant (norm + linear only) stands in for ablation runs.
+Ablation runs build the module without its depthwise stage
+(``dw_kernel=None``): normalization and projection only, under the same
+parameter names. ``linear_params`` declares the weight and bias of every
+dense projection in the model, here and in the mask head.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError
-
-if TYPE_CHECKING:  # config imports attention, which imports this module
-    from .config import ModelConfig
 
 
 @dataclass
@@ -33,93 +32,65 @@ class ConvModuleParams:
     norm_bias: ad.Tensor  # (N_in,)
     proj_weight: ad.Tensor  # (N_out, N_in)
     proj_bias: ad.Tensor  # (N_out,)
-    dw_weight: ad.Tensor  # (N_out, K2)
+    dw_weight: ad.Tensor | None  # (N_out, K2); None: norm and projection only
     dropout_p: float = 0.0
 
     def __call__(self, x, rng: np.random.Generator | None = None) -> ad.Tensor:
         return conv_module_forward(x, self, rng)
 
 
-@dataclass
-class DenseParams:
-    norm_gain: ad.Tensor
-    norm_bias: ad.Tensor
-    proj_weight: ad.Tensor
-    proj_bias: ad.Tensor
-
-    def __call__(self, x, rng: np.random.Generator | None = None) -> ad.Tensor:
-        return dense_forward(x, self)
-
-
-def _init_norm_and_proj(store, prefix, n_in, n_out, rng):
+def linear_params(
+    store: ad.ParamStore, prefix: str, n_in: int, n_out: int,
+    rng: np.random.Generator,
+) -> tuple[ad.Tensor, ad.Tensor]:
+    """``{prefix}_w`` (n_out, n_in) drawn from U(+-1/sqrt(n_in)), then a
+    zero ``{prefix}_b`` (n_out,)."""
     bound = 1.0 / math.sqrt(n_in)
-    return (
-        store.add(f"{prefix}.norm_g", np.ones(n_in)),
-        store.add(f"{prefix}.norm_b", np.zeros(n_in)),
-        store.uniform(f"{prefix}.proj_w", (n_out, n_in), bound, rng),
-        store.add(f"{prefix}.proj_b", np.zeros(n_out)),
-    )
+    return (store.param(f"{prefix}_w", (n_out, n_in), ad.uniform(bound, rng)),
+            store.param(f"{prefix}_b", (n_out,), np.zeros))
 
 
 def init_conv_module(
-    store: ad.ParamStore, prefix: str, n_in: int, n_out: int, dw_kernel: int,
-    dropout_p: float, rng: np.random.Generator,
+    store: ad.ParamStore, prefix: str, n_in: int, n_out: int,
+    dw_kernel: int | None, dropout_p: float, rng: np.random.Generator,
 ) -> ConvModuleParams:
-    if dw_kernel % 2 == 0:
+    """``dw_kernel=None`` builds the dense stand-in: no depthwise stage."""
+    if dw_kernel is not None and dw_kernel % 2 == 0:
         raise ConfigError(f"depthwise kernel must be odd, got {dw_kernel}")
-    gain, bias, proj_w, proj_b = _init_norm_and_proj(store, prefix, n_in, n_out, rng)
-    k_bound = 1.0 / math.sqrt(dw_kernel)
+    norm_gain = store.param(f"{prefix}.norm_g", (n_in,), np.ones)
+    norm_bias = store.param(f"{prefix}.norm_b", (n_in,), np.zeros)
+    proj_w, proj_b = linear_params(store, f"{prefix}.proj", n_in, n_out, rng)
+    dw_weight = None
+    if dw_kernel is not None:
+        dw_weight = store.param(f"{prefix}.dw_w", (n_out, dw_kernel),
+                                ad.uniform(1.0 / math.sqrt(dw_kernel), rng))
     return ConvModuleParams(
-        norm_gain=gain,
-        norm_bias=bias,
+        norm_gain=norm_gain,
+        norm_bias=norm_bias,
         proj_weight=proj_w,
         proj_bias=proj_b,
-        dw_weight=store.uniform(f"{prefix}.dw_w", (n_out, dw_kernel),
-                                k_bound, rng),
+        dw_weight=dw_weight,
         dropout_p=dropout_p,
     )
-
-
-def init_dense(
-    store: ad.ParamStore, prefix: str, n_in: int, n_out: int,
-    rng: np.random.Generator,
-) -> DenseParams:
-    gain, bias, proj_w, proj_b = _init_norm_and_proj(store, prefix, n_in, n_out, rng)
-    return DenseParams(
-        norm_gain=gain, norm_bias=bias, proj_weight=proj_w, proj_bias=proj_b
-    )
-
-
-def init_projection(
-    store: ad.ParamStore, prefix: str, n_in: int, n_out: int,
-    cfg: ModelConfig, dense: bool, rng: np.random.Generator,
-) -> ConvModuleParams | DenseParams:
-    """A convolution module, or its dense stand-in when ``dense`` is set."""
-    if dense:
-        return init_dense(store, prefix, n_in, n_out, rng)
-    return init_conv_module(store, prefix, n_in, n_out, cfg.dw_kernel,
-                            cfg.dropout_p, rng)
 
 
 def conv_module_forward(
     x, p: ConvModuleParams, rng: np.random.Generator | None = None,
 ) -> ad.Tensor:
     """x (S, N_in) -> (S, N_out); the skip spans the depthwise convolution
-    and is folded into its centre tap.
+    and is folded into its centre tap. Without a depthwise stage the module
+    is normalization and projection only, with no activation or dropout.
 
     Dropout draws its masks from ``rng`` when one is given (training) and
     is the identity without one (inference).
     """
-    y0 = ad.silu(ad.linear(ad.layer_norm(x, p.norm_gain, p.norm_bias),
-                           p.proj_weight, p.proj_bias))
+    y0 = ad.linear(ad.layer_norm(x, p.norm_gain, p.norm_bias),
+                   p.proj_weight, p.proj_bias)
+    if p.dw_weight is None:
+        return y0
+    y0 = ad.silu(y0)  # rebound: inference frees the projection here
     taps = p.dw_weight.shape[1]
     centre = np.zeros(taps, dtype=p.dw_weight.dtype)
     centre[taps // 2] = 1.0
     y = ad.depthwise_conv1d(y0, ad.add(p.dw_weight, centre))
     return ad.dropout(y, p.dropout_p, rng)
-
-
-def dense_forward(x, p: DenseParams) -> ad.Tensor:
-    """Ablation stand-in: normalization and projection only."""
-    return ad.linear(ad.layer_norm(x, p.norm_gain, p.norm_bias),
-                     p.proj_weight, p.proj_bias)

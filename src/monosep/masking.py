@@ -5,7 +5,6 @@ speakers, gated linear unit, output projection, ReLU)."""
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .block import BlockParams, block_forward, init_block
 from .config import ModelConfig
+from .conv_module import linear_params
 from .errors import ConfigError
 
 
@@ -50,30 +50,22 @@ class MaskingNetParams:
     out_bias: ad.Tensor
 
 
-def _linear_params(store, prefix, n_in, n_out, rng):
-    bound = 1.0 / math.sqrt(n_in)
-    return (
-        store.uniform(f"{prefix}_w", (n_out, n_in), bound, rng),
-        store.add(f"{prefix}_b", np.zeros(n_out)),
-    )
-
-
 def init_masking_net(
     store: ad.ParamStore, prefix: str, cfg: ModelConfig,
     rng: np.random.Generator,
 ) -> MaskingNetParams:
     n = cfg.n_feat
     wide = cfg.n_speakers * n
-    in_w, in_b = _linear_params(store, f"{prefix}.in", n, n, rng)
+    in_w, in_b = linear_params(store, f"{prefix}.in", n, n, rng)
     blocks = [init_block(store, f"{prefix}.block{i}", cfg, rng)
               for i in range(cfg.n_blocks)]
-    expand_w, expand_b = _linear_params(store, f"{prefix}.expand", n, wide, rng)
-    glu_v_w, glu_v_b = _linear_params(store, f"{prefix}.glu_value", wide, wide, rng)
-    glu_g_w, glu_g_b = _linear_params(store, f"{prefix}.glu_gate", wide, wide, rng)
-    out_w, out_b = _linear_params(store, f"{prefix}.out", wide, wide, rng)
+    expand_w, expand_b = linear_params(store, f"{prefix}.expand", n, wide, rng)
+    glu_v_w, glu_v_b = linear_params(store, f"{prefix}.glu_value", wide, wide, rng)
+    glu_g_w, glu_g_b = linear_params(store, f"{prefix}.glu_gate", wide, wide, rng)
+    out_w, out_b = linear_params(store, f"{prefix}.out", wide, wide, rng)
     return MaskingNetParams(
-        norm_gain=store.add(f"{prefix}.norm_g", np.ones(n)),
-        norm_bias=store.add(f"{prefix}.norm_b", np.zeros(n)),
+        norm_gain=store.param(f"{prefix}.norm_g", (n,), np.ones),
+        norm_bias=store.param(f"{prefix}.norm_b", (n,), np.zeros),
         in_weight=in_w, in_bias=in_b,
         blocks=blocks,
         expand_weight=expand_w, expand_bias=expand_b,

@@ -2,13 +2,18 @@
 
 import dataclasses
 import gc
+import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
+import monosep
 from monosep import checkpoint as ckpt_mod
 from monosep import cli
 from monosep import config as cfg_mod
@@ -416,3 +421,130 @@ class TestErrors:
         leftovers = [p for p in tmp_path.iterdir()
                      if p.name.startswith(".ckpt-")]
         assert leftovers == []
+
+
+def with_header_config(raw: bytes, **edits) -> bytes:
+    """``raw`` with its header's model config edited; the parameter table
+    and the payload are left as they are."""
+    header_end = 16 + int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:header_end])
+    header["config"].update(edits)
+    blob = json.dumps(header).encode("utf-8")
+    return raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[header_end:]
+
+
+# Runs ``monosep separate`` once per argv in its JSON argument, in this one
+# process, after capping its own address space; prints a JSON list of
+# (exit code, stderr, seconds). A raw exception counts as exit 1.
+_CAPPED_SEPARATE = """
+import contextlib, io, json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from monosep import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    start = time.perf_counter()
+    try:
+        with contextlib.redirect_stderr(err), \\
+                contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+    except Exception as exc:
+        code = 1
+        err.write(repr(exc))
+    results.append((code, err.getvalue(), time.perf_counter() - start))
+print(json.dumps(results))
+"""
+
+
+class TestHostileHeader:
+    """A header config that disagrees with its parameter table fails at the
+    first parameter, and costs no more than the table: no array is made at
+    the config's size."""
+
+    EDITS = [{"n_feat": 4096}, {"n_feat": 100000}, {"n_speakers": 1000000},
+             {"n_blocks": 3000}, {"dw_kernel": 10000001},
+             {"enc_kernel": 100000000}, {"attn_dim": 2000000}]
+
+    def test_separate_fails_fast_under_1gib(self, tmp_path):
+        cfg = cfg_mod.preset("tiny")
+        params = {n: t.data for n, t in
+                  model_mod.build_model(cfg, seed=0).store.items()}
+        base = tmp_path / "base.ckpt"
+        save_checkpoint(Checkpoint(config=cfg, params=params), base)
+        wav = tmp_path / "mix.wav"
+        write_wav(wav, synth.synth_dataset(9, 1, 2, 700)[0][0], 8000)
+        argvs = []
+        for i, edit in enumerate(self.EDITS):
+            path = tmp_path / f"hostile{i}.ckpt"
+            path.write_bytes(with_header_config(base.read_bytes(), **edit))
+            argvs.append(["separate", str(wav), "--ckpt", str(path),
+                          "--out-dir", str(tmp_path / "out")])
+        # one BLAS thread: each thread's buffers count against the cap
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [os.path.dirname(os.path.dirname(monosep.__file__)),
+                        os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _CAPPED_SEPARATE, json.dumps(argvs)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout)
+        assert len(results) == len(self.EDITS)
+        for edit, (code, err, seconds) in zip(self.EDITS, results):
+            assert code == 2, (edit, err)
+            assert err.startswith("error: parameter table disagrees with "
+                                  "the checkpoint's config: "), (edit, err)
+            assert seconds < 1.0, (edit, seconds)
+        assert not (tmp_path / "out").exists()
+
+
+def names_and_shapes_digest(store) -> str:
+    lines = "".join(f"{name}:{tuple(t.shape)}\n" for name, t in store.items())
+    return hashlib.sha256(lines.encode("utf-8")).hexdigest()[:16]
+
+
+def params_digest(store) -> str:
+    h = hashlib.sha256()
+    for name, t in store.items():
+        for part in (name, repr(t.data.shape), t.data.dtype.str):
+            h.update(part.encode("utf-8"))
+        h.update(t.data.tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestParameterLayout:
+    """Checkpoints stay loadable only while ``build_model`` declares the
+    same parameters, in the same order, at the same shapes and (per seed)
+    with the same values. These digests pin that."""
+
+    @pytest.mark.parametrize("name,overrides,digest", [
+        ("tiny", {}, "f837ecbac68dc27a"),
+        ("S", {}, "f6fc8427c39e2925"),
+        ("M", {}, "c438de4d0f9de2ac"),
+        ("L", {}, "31c2f2872fef4a22"),
+        ("tiny", {"dense_uv": True}, "26450533826af344"),
+        ("tiny", {"dense_qk": True}, "81f6e37ebc5f68f9"),
+        ("tiny", {"single_gate": True}, "f837ecbac68dc27a"),
+        ("tiny", {"attention_mode": "local_only"}, "f837ecbac68dc27a"),
+    ], ids=["tiny", "S", "M", "L", "dense_uv", "dense_qk", "single_gate",
+            "local_only"])
+    def test_names_and_shapes(self, name, overrides, digest):
+        cfg = cfg_mod.preset(name, **overrides)
+        store = model_mod.build_model(cfg).store
+        assert names_and_shapes_digest(store) == digest
+
+    @pytest.mark.parametrize("dtype,digest", [
+        (np.float32, {"tiny": "4664563feb6acd12", "dense": "385a42143d86a9f8",
+                      "S2": "10477c5ebf233a9d"}),
+        (np.float64, {"tiny": "70c2032778a0822b", "dense": "8e302b3a790a8388",
+                      "S2": "214acc5c7d491e00"}),
+    ], ids=["float32", "float64"])
+    def test_seed0_values(self, dtype, digest):
+        configs = {"tiny": cfg_mod.preset("tiny"),
+                   "dense": cfg_mod.preset("tiny", dense_uv=True,
+                                           dense_qk=True),
+                   "S2": cfg_mod.preset("S", n_blocks=2)}
+        got = {label: params_digest(model_mod.build_model(
+                   cfg, seed=0, dtype=dtype).store)
+               for label, cfg in configs.items()}
+        assert got == digest

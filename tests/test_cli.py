@@ -30,6 +30,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="key=value"):
             cli.parse_config_file(cfg)
 
+    def test_non_utf8_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(b"lr = 1e-3 # caf\xe9\n")
+        with pytest.raises(ConfigError, match=f"{cfg}: .*not UTF-8"):
+            cli.parse_config_file(cfg)
+        assert cli.main(["train", "--config", str(cfg),
+                         "--out", str(tmp_path / "m.ckpt")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_build_configs_routes_keys(self):
         mcfg, tcfg, data = cli.build_configs({
             "preset": "tiny",
@@ -162,6 +172,14 @@ class TestCommands:
                          "--out", str(tmp_path / "m.ckpt")])
         assert code == 2
         assert "lr_decay" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("key", ["lr", "clip_norm"])
+    def test_nan_step_setting_exits_2(self, tmp_path, capsys, key):
+        code = cli.main(["train", "--set", f"{key}=nan",
+                         "--out", str(tmp_path / "m.ckpt")])
+        assert code == 2
+        assert f"error: {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
 
     def test_zero_batch_size_exits_2(self, tmp_path, capsys):

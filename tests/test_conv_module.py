@@ -101,9 +101,9 @@ class TestDense:
     def test_norm_and_projection_only(self):
         store = ad.ParamStore()
         rng = np.random.default_rng(7)
-        p = cm.init_dense(store, "d", 6, 12, rng)
+        p = cm.init_conv_module(store, "d", 6, 12, None, 0.0, rng)
         x = rng.normal(size=(5, 6))
-        out = cm.dense_forward(ad.Tensor(x), p)
+        out = cm.conv_module_forward(ad.Tensor(x), p)
         mean = x.mean(axis=1, keepdims=True)
         xn = (x - mean) / np.sqrt(x.var(axis=1, keepdims=True) + 1e-5)
         expected = (xn * p.norm_gain.data + p.norm_bias.data) @ p.proj_weight.data.T
@@ -114,14 +114,15 @@ class TestDense:
         # calling either params flavour runs its own forward function
         p_conv, _ = build(dropout_p=0.5)
         store = ad.ParamStore()
-        p_dense = cm.init_dense(store, "d", 6, 12, np.random.default_rng(8))
+        p_dense = cm.init_conv_module(store, "d", 6, 12, None, 0.0,
+                                      np.random.default_rng(8))
         x = ad.Tensor(np.random.default_rng(9).normal(size=(4, 6)))
         np.testing.assert_array_equal(
             p_conv(x, np.random.default_rng(3)).data,
             cm.conv_module_forward(x, p_conv, np.random.default_rng(3)).data,
         )
         np.testing.assert_array_equal(
-            p_dense(x).data, cm.dense_forward(x, p_dense).data
+            p_dense(x).data, cm.conv_module_forward(x, p_dense).data
         )
 
 
@@ -139,12 +140,13 @@ class TestGradients:
 
     def test_dense_module(self):
         store = ad.ParamStore()
-        p = cm.init_dense(store, "d", 5, 7, np.random.default_rng(13))
+        p = cm.init_conv_module(store, "d", 5, 7, None, 0.0,
+                                np.random.default_rng(13))
         x = np.random.default_rng(14).normal(size=(6, 5))
         probe = np.random.default_rng(15).normal(size=(6, 7))
 
         def f(params):
-            return ad.sum_all(ad.mul(cm.dense_forward(ad.Tensor(x), p),
+            return ad.sum_all(ad.mul(cm.conv_module_forward(ad.Tensor(x), p),
                                      ad.Tensor(probe)))
 
         assert ad.gradient_check(f, store, h=1e-5) < 1e-6

@@ -281,6 +281,13 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match=field):
             train.train(model, tcfg, data)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["lr", "clip_norm"])
+    def test_non_finite_step_settings_rejected(self, field, value):
+        # a NaN passes "<= 0"; clip_norm=nan would silently turn clipping off
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            cfg_mod.TrainConfig(**{field: value}).validate()
+
     def test_no_decay_and_zero_patience_accepted(self):
         cfg_mod.TrainConfig(lr_decay=1.0, patience=0).validate()
 
