@@ -19,13 +19,14 @@ in input order (None for an input that needs none), and returns
 ``_op(data, inputs, backward)``, as ``torch.autograd.Function.backward``
 and ``jax.vjp`` do. A closure captures the arrays that the gradients it
 computes read (``mul`` keeps ``b`` for ``a``'s gradient and ``a`` for
-``b``'s, ``silu`` its input, ``add`` and ``reshape`` nothing) and which
-inputs need a gradient, and nothing else: never an input ``Tensor``,
-which would keep that input's array alive until backward. ``_op`` is the
-one registration point: it wraps the array and, only when a tape is
-active and some input requires grad, gives the output a node holding the
-closure and each input's gradient destination (the input's node, the leaf
-tensor itself, or None), and appends the node to the tape.
+``b``'s, ``silu`` its input, ``relu`` its output, ``add`` and ``reshape``
+nothing) and which inputs need a gradient, and nothing else: never an
+input ``Tensor``, which would keep that input's array alive until
+backward. ``_op`` is the one registration point: it wraps the array and,
+only when a tape is active and some input requires grad, gives the output
+a node holding the closure and each input's gradient destination (the
+input's node, the leaf tensor itself, or None), and appends the node to
+the tape.
 ``Tape.backward`` is the only place gradients are added into those
 destinations. Code outside this module registers fused primitives, with
 one output or several, through ``make_op``. ``Tensor`` has no operator
@@ -56,6 +57,15 @@ stays private to the kernel, like ``conv1d``'s im2col copy.
 Outputs match the tap-by-tap sum within a relative 1e-13 (float64) or 1e-5
 (float32) per frame rather than bitwise, and a non-finite input entry
 poisons its whole frame block (0 * inf is NaN), not just its K neighbours.
+
+``conv_stage`` is a convolution module's layer_norm -> linear -> silu ->
+depthwise_conv1d as one primitive. It runs the private kernels those
+primitives run (``_normalize``, ``_affine``, ``_matmul_grads``,
+``_silu_grad``, ``_depthwise_pack``, ``_depthwise_grads``), so its output
+and gradients are bitwise theirs, but keeps only the normalized input,
+its 1/sigma and the pre-activation for backward, which rebuilds the norm
+output, the logistic and the silu output from them (selective
+recomputation, after Korthikanti et al. 2022): no GEMM runs twice.
 
 Reductions avoid numpy's axis sums, which cost several times a BLAS call
 at (frames, features) shapes: a plain sum over frames or features (bias
@@ -226,12 +236,19 @@ def _op(data, inputs: Sequence[Tensor], backward: _Backward) -> Tensor:
     the inputs' gradient destinations, and append the node to the tape.
     The only code that appends tape nodes."""
     out = Tensor(data)
-    tape = _active_tape.get()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if _records(inputs):
         out.requires_grad = True
         out._node = _Node(backward, tuple(map(_grad_target, inputs)))
-        tape._nodes.append(out._node)
+        _active_tape.get()._nodes.append(out._node)
     return out
+
+
+def _records(inputs: Sequence[Tensor]) -> bool:
+    """Whether ``_op`` records a node for these inputs: a tape is active and
+    some input requires grad. A primitive that does not record can free
+    what only its backward would read."""
+    return (_active_tape.get() is not None
+            and any(t.requires_grad for t in inputs))
 
 
 def _grad_target(t: Tensor) -> _Node | Tensor | None:
@@ -358,10 +375,17 @@ def matmul(a, b) -> Tensor:
     bv = b.data if a.requires_grad else None
 
     def backward(g):
-        return (None if bv is None else g @ np.swapaxes(bv, -1, -2),
-                None if av is None else np.swapaxes(av, -1, -2) @ g)
+        return _matmul_grads(g, av, bv)
 
     return _op(a.data @ b.data, (a, b), backward)
+
+
+def _matmul_grads(g: np.ndarray, av: np.ndarray | None,
+                  bv: np.ndarray | None) -> tuple:
+    """The gradients of a @ b: a's reads b, b's reads a, and either is None
+    when the operand it reads was not kept."""
+    return (None if bv is None else g @ np.swapaxes(bv, -1, -2),
+            None if av is None else np.swapaxes(av, -1, -2) @ g)
 
 
 def transpose(a) -> Tensor:
@@ -468,12 +492,14 @@ def log(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    x = a.data
+    # the closure keeps the output, which the next op usually holds anyway:
+    # out > 0 exactly where x > 0, for -0.0 and NaN too
+    out = np.maximum(a.data, 0)
 
     def backward(g):
-        return (g * (x > 0),)
+        return (g * (out > 0),)
 
-    return _op(np.maximum(x, 0), (a,), backward)
+    return _op(out, (a,), backward)
 
 
 def relu_squared(a) -> Tensor:
@@ -524,14 +550,19 @@ def silu(a) -> Tensor:
     s = _logistic(x)
 
     def backward(g):
-        # g * (s * (1 + x * (1 - s))), one temporary
-        d = np.subtract(1.0, s, out=np.empty_like(s))
-        d *= x
-        d += 1.0
-        d *= s
-        return (_times(g, d),)
+        return (_silu_grad(g, x, s),)
 
     return _op(x * s, (a,), backward)
+
+
+def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """g times silu's derivative at x, s = _logistic(x):
+    g * (s * (1 + x * (1 - s))), one temporary."""
+    d = np.subtract(1.0, s, out=np.empty_like(s))
+    d *= x
+    d += 1.0
+    d *= s
+    return _times(g, d)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -726,6 +757,13 @@ def _depthwise_block(K: int) -> int:
     return K + 1
 
 
+def _padded_width(L: int, K: int) -> int:
+    """Columns of the zero-padded channel-major input of a K-tap depthwise
+    convolution over L frames: whole blocks of output frames, plus K - 1."""
+    B = _depthwise_block(K)
+    return -(-L // B) * B + K - 1
+
+
 def _channels_major(a: np.ndarray, lead: int, width: int, dtype) -> np.ndarray:
     """``a`` (L, C) as a zero-padded channel-major (C, width) array whose
     columns lead .. lead + L - 1 hold a.T, copied in frame tiles."""
@@ -788,6 +826,54 @@ def _depthwise_gemm(windows: np.ndarray, w: np.ndarray, L: int) -> np.ndarray:
     return _frames_major(y.reshape(C, -1), L)
 
 
+def _depthwise_pack(x: np.ndarray, K: int, dtype) -> np.ndarray:
+    """The ``_depthwise_windows`` of x (L, C), packed channel-major and
+    zero-padded by (K - 1) / 2 frames each side for a same-length K-tap
+    convolution."""
+    width = _padded_width(len(x), K)
+    return _depthwise_windows(_channels_major(x, (K - 1) // 2, width, dtype),
+                              _depthwise_block(K), K)
+
+
+def _depthwise_grads(g: np.ndarray, xv: np.ndarray | None, w: np.ndarray,
+                     dtype, rx: bool) -> tuple:
+    """The gradients of depthwise_conv1d(x, w) of dtype ``dtype``: x's when
+    ``rx``, w's when its input ``xv`` is given, each None otherwise."""
+    L, C = g.shape
+    K = w.shape[1]
+    pad, B, width = (K - 1) // 2, _depthwise_block(K), _padded_width(L, K)
+    # the packing is rebuilt from x, which the closure holds anyway, rather
+    # than keeping a second input-sized copy until backward
+    gp = _channels_major(g, pad, width, np.result_type(g, dtype))
+    gx = gw = None
+    if xv is not None:
+        # gw[c, k] = sum_s g[s, c] * xp[c, s + k]: per channel, the blocks
+        # of g transposed times the windows, (B, B + K - 1), then summed
+        # along its K diagonals m[i, i + k]
+        blocks = gp[:, pad : width - pad].reshape(C, -1, B)
+        m = np.matmul(blocks.transpose(0, 2, 1), _depthwise_pack(xv, K, dtype))
+        s = m.strides
+        diagonals = np.lib.stride_tricks.as_strided(
+            m, (C, K, B), (s[0], s[2], s[1] + s[2]), writeable=False)
+        gw = diagonals.sum(axis=2).astype(w.dtype, copy=False)
+    if rx:
+        # the adjoint of a symmetric same-length correlation is the same
+        # correlation with the taps reversed
+        gx = _depthwise_gemm(_depthwise_windows(gp, B, K), w[:, ::-1], L)
+    return gx, gw
+
+
+def _check_taps(name: str, C: int, w: np.ndarray) -> None:
+    """Depthwise taps must be (C, K) with K odd."""
+    if w.ndim != 2:
+        raise DimensionError(f"{name} expects taps (C, K), got {w.shape}")
+    if w.shape[0] != C:
+        raise DimensionError(f"{name} channel axes disagree: x has C={C}, "
+                             f"weight has C={w.shape[0]}")
+    if w.shape[1] % 2 == 0:
+        raise ConfigError(f"depthwise kernel size must be odd, got {w.shape[1]}")
+
+
 def depthwise_conv1d(x, weight) -> Tensor:
     """Per-channel same-length convolution over frames. x (L, C), weight
     (C, K), K odd -> (L, C).
@@ -805,53 +891,22 @@ def depthwise_conv1d(x, weight) -> Tensor:
     neighbours.
     """
     x, weight = as_tensor(x), as_tensor(weight)
-    if x.data.ndim != 2 or weight.data.ndim != 2:
+    if x.data.ndim != 2:
         raise DimensionError(
             f"depthwise_conv1d expects x (L, C) and weight (C, K); "
             f"got {x.data.shape} and {weight.data.shape}"
         )
     L, C = x.data.shape
-    w_c, K = weight.data.shape
-    if w_c != C:
-        raise DimensionError(
-            f"depthwise_conv1d channel axes disagree: x has C={C}, weight has C={w_c}"
-        )
-    if K % 2 == 0:
-        raise ConfigError(f"depthwise kernel size must be odd, got {K}")
-
-    pad = (K - 1) // 2
-    B = _depthwise_block(K)
-    width = -(-L // B) * B + K - 1
+    _check_taps("depthwise_conv1d", C, weight.data)
     dtype = np.result_type(x.data, weight.data)
-
-    def windows(a: np.ndarray) -> np.ndarray:
-        return _depthwise_windows(_channels_major(a, pad, width, dtype), B, K)
-
-    out_data = _depthwise_gemm(windows(x.data), weight.data, L)
+    out_data = _depthwise_gemm(_depthwise_pack(x.data, weight.shape[1], dtype),
+                               weight.data, L)
     rx = x.requires_grad
     # the weight gradient reads x; the taps are kept whole, being small
     xv, w = (x.data if weight.requires_grad else None), weight.data
 
     def backward(g):
-        # the packing is rebuilt from x, which the closure holds anyway,
-        # rather than keeping a second input-sized copy until backward
-        gp = _channels_major(g, pad, width, np.result_type(g, dtype))
-        gx = gw = None
-        if xv is not None:
-            # gw[c, k] = sum_s g[s, c] * xp[c, s + k]: per channel, the
-            # blocks of g transposed times the windows, (B, B + K - 1),
-            # then summed along its K diagonals m[i, i + k]
-            blocks = gp[:, pad : width - pad].reshape(C, -1, B)
-            m = np.matmul(blocks.transpose(0, 2, 1), windows(xv))
-            s = m.strides
-            diagonals = np.lib.stride_tricks.as_strided(
-                m, (C, K, B), (s[0], s[2], s[1] + s[2]), writeable=False)
-            gw = diagonals.sum(axis=2).astype(w.dtype, copy=False)
-        if rx:
-            # the adjoint of a symmetric same-length correlation is the
-            # same correlation with the taps reversed
-            gx = _depthwise_gemm(_depthwise_windows(gp, B, K), w[:, ::-1], L)
-        return gx, gw
+        return _depthwise_grads(g, xv, w, dtype, rx)
 
     return _op(out_data, (x, weight), backward)
 
@@ -861,52 +916,160 @@ def depthwise_conv1d(x, weight) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def _check_norm(name: str, x: np.ndarray, gain: np.ndarray,
+                bias: np.ndarray) -> None:
+    if x.ndim != 2:
+        raise DimensionError(f"{name} expects x (S, N), got {x.shape}")
+    N = x.shape[1]
+    if gain.shape != (N,) or bias.shape != (N,):
+        raise DimensionError(
+            f"{name} gain/bias must be ({N},), got {gain.shape} and "
+            f"{bias.shape}"
+        )
+
+
+def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each frame of x (S, N) centred and scaled to unit variance, guarded
+    by eps: (xhat, 1/sigma as (S, 1)). Frame means and variances are
+    matrix-vector products; xhat is centred and scaled in its own buffer."""
+    xhat = x - _mean_cols(x)[:, None]
+    var = np.einsum("sn,sn->s", xhat, xhat) * (1.0 / x.shape[1])
+    inv_std = (1.0 / np.sqrt(var + eps))[:, None]
+    xhat *= inv_std
+    return xhat, inv_std
+
+
+def _affine(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """layer_norm's output from the normalized input."""
+    out = xhat * gain
+    out += bias
+    return out
+
+
+def _normalize_grads(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
+                     gain: np.ndarray, rx: bool, rg: bool, rb: bool) -> tuple:
+    """layer_norm's (x, gain, bias) gradients, each None unless asked for."""
+    gx = None
+    if rx:
+        # d/dx of (x - mean) * inv_std, both mean and var depend on x:
+        # inv_std * (gh - mean(gh) - xhat * mean(gh * xhat))
+        gx = g * gain
+        proj = np.einsum("sn,sn->s", gx, xhat) * (1.0 / xhat.shape[1])
+        gx -= _mean_cols(gx)[:, None]
+        gx -= xhat * proj[:, None]
+        gx *= inv_std
+    return (gx, np.einsum("sn,sn->n", g, xhat) if rg else None,
+            _sum_rows(g) if rb else None)
+
+
+_NORM_EPS = 1e-5  # guards the variance of layer_norm and conv_stage
+
+
+def layer_norm(x, gain, bias, eps: float = _NORM_EPS) -> Tensor:
     """Per-frame layer normalization over the feature axis.
 
     x (S, N), gain (N,), bias (N,): each frame is centered, scaled to unit
     variance (guarded by eps), then affinely transformed.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    if x.data.ndim != 2:
-        raise DimensionError(f"layer_norm expects x (S, N), got {x.data.shape}")
-    N = x.data.shape[1]
-    if gain.data.shape != (N,) or bias.data.shape != (N,):
-        raise DimensionError(
-            f"layer_norm gain/bias must be ({N},), got "
-            f"{gain.data.shape} and {bias.data.shape}"
-        )
-    # frame means and variances are matrix-vector products; xhat is
-    # centred and scaled in its own buffer
-    xhat = x.data - _mean_cols(x.data)[:, None]
-    var = np.einsum("sn,sn->s", xhat, xhat) * (1.0 / N)
-    inv_std = (1.0 / np.sqrt(var + eps))[:, None]
-    xhat *= inv_std
+    _check_norm("layer_norm", x.data, gain.data, bias.data)
+    xhat, inv_std = _normalize(x.data, eps)
     rx, rg, rb = x.requires_grad, gain.requires_grad, bias.requires_grad
     gv = gain.data
 
     def backward(g):
-        gx = None
-        if rx:
-            # d/dx of (x - mean) * inv_std, both mean and var depend on x:
-            # inv_std * (gh - mean(gh) - xhat * mean(gh * xhat))
-            gx = g * gv
-            proj = np.einsum("sn,sn->s", gx, xhat) * (1.0 / N)
-            gx -= _mean_cols(gx)[:, None]
-            gx -= xhat * proj[:, None]
-            gx *= inv_std
-        return (gx, np.einsum("sn,sn->n", g, xhat) if rg else None,
-                _sum_rows(g) if rb else None)
+        return _normalize_grads(g, xhat, inv_std, gv, rx, rg, rb)
 
-    out = xhat * gain.data
-    out += bias.data
-    return _op(out, (x, gain, bias), backward)
+    return _op(_affine(xhat, gv, bias.data), (x, gain, bias), backward)
 
 
 def linear(x, weight, bias) -> Tensor:
     """Per-frame affine map: x (S, N_in) @ weight (N_out, N_in)^T + bias."""
     y = matmul(x, transpose(weight))
     return add(y, bias)
+
+
+def conv_stage(x, gain, bias, weight, proj_bias, taps=None) -> Tensor:
+    """A convolution module's stage as one primitive: ``layer_norm(x, gain,
+    bias)``, then ``linear(., weight, proj_bias)``, then, given ``taps``
+    (N_out, K), ``silu`` and ``depthwise_conv1d(., taps)``.
+    x (S, N_in) -> (S, N_out).
+
+    It runs the kernels of those primitives, so its output and gradients
+    are bitwise theirs, and keeps less for backward: the normalized input
+    with its 1/sigma and, with taps, the projection output (the
+    pre-activation). Backward rebuilds the norm output for the weight
+    gradient, and the logistic and the silu output for the silu and taps
+    gradients, with the forward's own expressions. Unrecorded, the stage
+    frees each intermediate where the separate primitives would, the
+    pre-activation before the depthwise packing.
+    """
+    x, gain, bias, weight, proj_bias = (
+        as_tensor(t) for t in (x, gain, bias, weight, proj_bias))
+    _check_norm("conv_stage", x.data, gain.data, bias.data)
+    wv = weight.data
+    if (wv.ndim != 2 or wv.shape[1] != x.data.shape[1]
+            or proj_bias.data.shape != wv.shape[:1]):
+        raise DimensionError(
+            f"conv_stage projection must be weight (N_out, "
+            f"{x.data.shape[1]}) and bias (N_out,); got {wv.shape} and "
+            f"{proj_bias.data.shape}")
+    inputs = (x, gain, bias, weight, proj_bias)
+    tv = dtype = None
+    if taps is not None:
+        taps = as_tensor(taps)
+        _check_taps("conv_stage", wv.shape[0], taps.data)
+        inputs += (taps,)
+        tv = taps.data
+    record = _records(inputs)
+    rx, rg, rb, rw, rpb = (t.requires_grad for t in inputs[:5])
+    rt = tv is not None and taps.requires_grad
+    gv, bv = gain.data, bias.data
+
+    # arrays are made and freed in the order the separate primitives make
+    # and free them: freeing the silu output before the depthwise GEMM, or
+    # adding the bias in place, lowers the peak a little but lets glibc
+    # trim the heap and fault it back (on glibc 2.36, about 80k minor
+    # faults per S separate of 2 s of audio, against about 12k)
+    xhat, inv_std = _normalize(x.data, _NORM_EPS)
+    norm_out = _affine(xhat, gv, bv)
+    if not record:  # the closure below is dropped unrun: free as we go
+        xhat = inv_std = None
+    proj = norm_out @ wv.T
+    pre = proj + proj_bias.data
+    del norm_out, proj
+    if tv is None:
+        out, pre = pre, None  # without taps backward reads no pre-activation
+    else:
+        s = _logistic(pre)
+        act = pre * s  # the silu output
+        del s
+        dtype = np.result_type(act, tv)
+        if not record:
+            pre = None
+        out = _depthwise_gemm(_depthwise_pack(act, tv.shape[1], dtype), tv,
+                              len(act))
+
+    def backward(g):
+        gt = None
+        if tv is not None:
+            s = _logistic(pre)
+            g, gt = _depthwise_grads(g, pre * s if rt else None, tv, dtype,
+                                     rx or rg or rb or rw or rpb)
+            g = None if g is None else _silu_grad(g, pre, s)
+            del s
+        taps_grad = () if tv is None else (gt,)
+        if g is None:
+            return (None,) * 5 + taps_grad
+        norm_out = _affine(xhat, gv, bv) if rw else None
+        g_norm, g_wt = _matmul_grads(g, norm_out,
+                                     wv.T if rx or rg or rb else None)
+        del norm_out
+        return (*_normalize_grads(g_norm, xhat, inv_std, gv, rx, rg, rb),
+                None if g_wt is None else g_wt.T,
+                _sum_rows(g) if rpb else None, *taps_grad)
+
+    return _op(out, inputs, backward)
 
 
 # ---------------------------------------------------------------------------

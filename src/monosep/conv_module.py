@@ -7,6 +7,13 @@ convolution and no extra (frames, channels) sum. ``dw_w`` keeps its meaning
 the unfolded sum within a relative 1e-13 (float64) or 1e-5 (float32) per
 frame.
 
+The stage runs as one tape primitive, ``ad.conv_stage``, with dropout
+after it. Under a tape a module keeps the normalized input with its
+1/sigma, the pre-activation and the bool dropout mask; backward rebuilds
+the norm output, the logistic and the silu output from them, so losses and
+gradients are bitwise those of the separate primitives. Without a tape
+each intermediate is freed where the separate primitives freed it.
+
 Used in three widths inside each block (feature-to-gate/value at 2N, the
 shared attention representation at D, and the output projection back to N).
 Ablation runs build the module without its depthwise stage
@@ -84,13 +91,12 @@ def conv_module_forward(
     Dropout draws its masks from ``rng`` when one is given (training) and
     is the identity without one (inference).
     """
-    y0 = ad.linear(ad.layer_norm(x, p.norm_gain, p.norm_bias),
-                   p.proj_weight, p.proj_bias)
     if p.dw_weight is None:
-        return y0
-    y0 = ad.silu(y0)  # rebound: inference frees the projection here
+        return ad.conv_stage(x, p.norm_gain, p.norm_bias, p.proj_weight,
+                             p.proj_bias)
     taps = p.dw_weight.shape[1]
     centre = np.zeros(taps, dtype=p.dw_weight.dtype)
     centre[taps // 2] = 1.0
-    y = ad.depthwise_conv1d(y0, ad.add(p.dw_weight, centre))
+    y = ad.conv_stage(x, p.norm_gain, p.norm_bias, p.proj_weight,
+                      p.proj_bias, ad.add(p.dw_weight, centre))
     return ad.dropout(y, p.dropout_p, rng)

@@ -43,9 +43,18 @@ def init_model(store: ad.ParamStore, cfg: ModelConfig,
     return SeparationModel(config=cfg, store=store, codec=codec, net=net)
 
 
+class _ShapeStore(ad.ParamStore):
+    """A store that only records shapes: ``param`` registers a zero-stride
+    placeholder of the declared shape and never calls ``init``."""
+
+    def param(self, name: str, shape: tuple, init) -> ad.Tensor:
+        return self._register(name, np.broadcast_to(self.dtype.type(0), shape))
+
+
 def count_parameters(cfg: ModelConfig) -> int:
-    """Total trainable scalars for a config."""
-    return build_model(cfg).store.total_scalars()
+    """Total trainable scalars for a config, counted from the declared
+    shapes: nothing is allocated or drawn."""
+    return init_model(_ShapeStore(), cfg).store.total_scalars()
 
 
 def encode_features(model: SeparationModel, mixture) -> ad.Tensor:

@@ -1,11 +1,18 @@
 """Tests for the convolution module and its dense ablation stand-in."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from monosep import autodiff as ad
 from monosep import conv_module as cm
+from monosep.block import block_forward
+from monosep.config import preset
 from monosep.errors import ConfigError
+from monosep.losses import pit_loss
+from monosep.model import build_model, separate
 
 
 def build(n_in=6, n_out=12, kernel=3, dropout_p=0.0, seed=0):
@@ -150,3 +157,76 @@ class TestGradients:
                                      ad.Tensor(probe)))
 
         assert ad.gradient_check(f, store, h=1e-5) < 1e-6
+
+
+def composed_conv_module(x, p, rng=None):
+    """The module as separate primitives: each keeps its own arrays for
+    backward (the norm output, the logistic, the silu output)."""
+    y0 = ad.linear(ad.layer_norm(x, p.norm_gain, p.norm_bias),
+                   p.proj_weight, p.proj_bias)
+    if p.dw_weight is None:
+        return y0
+    y0 = ad.silu(y0)
+    taps = p.dw_weight.shape[1]
+    centre = np.zeros(taps, dtype=p.dw_weight.dtype)
+    centre[taps // 2] = 1.0
+    y = ad.depthwise_conv1d(y0, ad.add(p.dw_weight, centre))
+    return ad.dropout(y, p.dropout_p, rng)
+
+
+class TestFusedStage:
+    """``conv_stage`` against the same module composed from the standalone
+    primitives."""
+
+    @staticmethod
+    def step(cfg, dtype):
+        """Loss and every parameter gradient of one taped step, as bytes."""
+        model = build_model(cfg, seed=3, dtype=dtype)
+        data = np.random.default_rng(4)
+        mixture = data.normal(size=1200).astype(dtype)
+        sources = [data.normal(size=1200).astype(dtype) for _ in range(2)]
+        model.store.zero_grad()
+        with ad.Tape() as tape:
+            loss, _ = pit_loss(separate(model, mixture,
+                                        rng=np.random.default_rng(5)),
+                               sources)
+            tape.backward(loss)
+        return [loss.data.tobytes()] + [t.grad.tobytes()
+                                        for _, t in model.store.items()]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("overrides", [
+        {"dropout_p": 0.3},
+        {"dense_uv": True, "dense_qk": True},
+        {"single_gate": True},
+        {"attention_mode": "local_only"},
+    ], ids=["dropout", "dense_uv_qk", "single_gate", "local_only"])
+    def test_loss_and_gradients_bitwise(self, monkeypatch, overrides, dtype):
+        cfg = preset("tiny", **overrides)
+        fused = self.step(cfg, dtype)
+        monkeypatch.setattr(cm, "conv_module_forward", composed_conv_module)
+        assert self.step(cfg, dtype) == fused
+
+    def test_block_keeps_at_most_three_quarters(self, monkeypatch):
+        # one S-width block's taped forward on 1000 frames (0.5 s of audio):
+        # the memory its tape holds, fused against composed
+        bp = build_model(preset("S", n_blocks=1), seed=0).net.blocks[0]
+        x = ad.Tensor(np.random.default_rng(6).normal(size=(1000, 256))
+                      .astype(np.float32), requires_grad=True)
+
+        def held():
+            gc.collect()
+            tracemalloc.start()
+            try:
+                with ad.Tape():
+                    out = block_forward(x, bp, np.random.default_rng(7))
+                    gc.collect()
+                    size = tracemalloc.get_traced_memory()[0]
+                del out
+            finally:
+                tracemalloc.stop()
+            return size
+
+        fused = held()
+        monkeypatch.setattr(cm, "conv_module_forward", composed_conv_module)
+        assert fused <= 0.75 * held()

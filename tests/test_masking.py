@@ -1,5 +1,7 @@
 """Tests for positional encodings, the masking net, and model assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,27 @@ class TestModelAssembly:
         assert per_block > 0 and non_block > 0
         # block subtotal doubles when R doubles
         assert n2 == non_block + 2 * per_block
+
+    @pytest.mark.parametrize("name,overrides", [
+        ("tiny", {}), ("S", {}),
+        ("tiny", {"dense_uv": True}), ("tiny", {"dense_qk": True}),
+        ("tiny", {"single_gate": True}),
+        ("tiny", {"attention_mode": "local_only"}),
+    ])
+    def test_count_parameters_matches_built_model(self, name, overrides):
+        cfg = cfg_mod.preset(name, **overrides)
+        assert (model.count_parameters(cfg)
+                == model.build_model(cfg).store.total_scalars())
+
+    def test_count_parameters_allocates_no_weights(self):
+        cfg = cfg_mod.preset("L")
+        tracemalloc.start()
+        try:
+            total = model.count_parameters(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total > 40e6 and peak < 1e6  # the weights alone are 178 MB
 
     def test_forward_ignores_config_after_build(self):
         # every choice, the codec kernel and speaker count included, is
