@@ -59,13 +59,14 @@ Outputs match the tap-by-tap sum within a relative 1e-13 (float64) or 1e-5
 poisons its whole frame block (0 * inf is NaN), not just its K neighbours.
 
 ``conv_stage`` is a convolution module's layer_norm -> linear -> silu ->
-depthwise_conv1d as one primitive. It runs the private kernels those
-primitives run (``_normalize``, ``_affine``, ``_matmul_grads``,
-``_silu_grad``, ``_depthwise_pack``, ``_depthwise_grads``), so its output
-and gradients are bitwise theirs, but keeps only the normalized input,
-its 1/sigma and the pre-activation for backward, which rebuilds the norm
-output, the logistic and the silu output from them (selective
-recomputation, after Korthikanti et al. 2022): no GEMM runs twice.
+depthwise_conv1d, with the skip folded into the centre tap, as one
+primitive. It runs the private kernels those primitives run
+(``_normalize``, ``_affine``, ``_matmul_grads``, ``_silu_grad``,
+``_depthwise_pack``, ``_depthwise_grads``), so its output and gradients
+are bitwise theirs, but keeps only the normalized input, its 1/sigma and
+the pre-activation for backward, which rebuilds the norm output, the
+logistic and the silu output from them (selective recomputation, after
+Korthikanti et al. 2022): no GEMM runs twice.
 
 Reductions avoid numpy's axis sums, which cost several times a BLAS call
 at (frames, features) shapes: a plain sum over frames or features (bias
@@ -992,12 +993,19 @@ def linear(x, weight, bias) -> Tensor:
 def conv_stage(x, gain, bias, weight, proj_bias, taps=None) -> Tensor:
     """A convolution module's stage as one primitive: ``layer_norm(x, gain,
     bias)``, then ``linear(., weight, proj_bias)``, then, given ``taps``
-    (N_out, K), ``silu`` and ``depthwise_conv1d(., taps)``.
+    (N_out, K), ``silu`` and a depthwise convolution with a skip around it.
     x (S, N_in) -> (S, N_out).
 
-    It runs the kernels of those primitives, so its output and gradients
-    are bitwise theirs, and keeps less for backward: the normalized input
-    with its 1/sigma and, with taps, the projection output (the
+    The skip is folded into the centre tap: y0 + depthwise(y0, taps) is
+    computed as depthwise(y0, taps + e_centre), one convolution and no extra
+    (frames, channels) sum. ``taps`` are passed as stored (without the
+    skip), so checkpoints are unchanged; outputs match the unfolded sum
+    within a relative 1e-13 (float64) or 1e-5 (float32) per frame.
+
+    It makes the folded taps first, as ``add(taps, e_centre)`` would, then
+    runs the kernels of those primitives, so its output and gradients are
+    bitwise theirs. It keeps less for backward: the normalized input with
+    its 1/sigma and, with taps, the projection output (the
     pre-activation). Backward rebuilds the norm output for the weight
     gradient, and the logistic and the silu output for the silu and taps
     gradients, with the forward's own expressions. Unrecorded, the stage
@@ -1020,7 +1028,9 @@ def conv_stage(x, gain, bias, weight, proj_bias, taps=None) -> Tensor:
         taps = as_tensor(taps)
         _check_taps("conv_stage", wv.shape[0], taps.data)
         inputs += (taps,)
-        tv = taps.data
+        centre = np.zeros(taps.data.shape[1], dtype=taps.data.dtype)
+        centre[len(centre) // 2] = 1.0
+        tv = taps.data + centre
     record = _records(inputs)
     rx, rg, rb, rw, rpb = (t.requires_grad for t in inputs[:5])
     rt = tv is not None and taps.requires_grad

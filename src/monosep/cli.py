@@ -9,6 +9,7 @@ drawn from ModelConfig (preset, n_feat, ...), TrainConfig (lr, max_epochs,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -151,6 +152,10 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    # nan and a negative value would always FAIL, and inf always PASS
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ConfigError(
+            f"tolerance must be positive and finite, got {args.tolerance}")
     mcfg, tcfg, _ = build_configs(collect_pairs(args))
     model = build_model(mcfg, seed=tcfg.seed, dtype=np.float64)
     mixture, sources = synth_dataset(tcfg.seed, 1, mcfg.n_speakers,

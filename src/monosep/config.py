@@ -30,6 +30,7 @@ class ModelConfig:
     dense_qk: bool = False
 
     def validate(self) -> "ModelConfig":
+        _check_types(self)
         for name in ("n_blocks", "n_feat", "enc_kernel", "dw_kernel",
                      "chunk_size", "attn_dim", "n_speakers", "sample_rate"):
             value = getattr(self, name)
@@ -90,11 +91,11 @@ class TrainConfig:
     lr_decay: float = 0.5
     patience: int = 2
     clip_norm: float = 5.0
-    batch_size: int = 1
     seed: int = 0
     max_steps: int = 0  # stop after this many optimizer steps; 0 = no cap
 
     def validate(self) -> "TrainConfig":
+        _check_types(self)
         for name in ("lr", "clip_norm"):
             value = getattr(self, name)
             # NaN passes every comparison check: clip_norm=nan would turn
@@ -104,8 +105,9 @@ class TrainConfig:
                     f"{name} must be positive and finite, got {value}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.hold_epochs < 0:
+            raise ConfigError(
+                f"hold_epochs must be >= 0, got {self.hold_epochs}")
         if self.max_steps < 0:
             raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
         if self.seed < 0:  # numpy seeds only take non-negative integers
@@ -124,6 +126,20 @@ def config_fields(cls) -> dict[str, type]:
     Every field carries a default, so the type is read off the default value.
     """
     return {f.name: type(f.default) for f in fields(cls)}
+
+
+# what a field accepts, by the type of its default; a bool is an int to
+# isinstance, so it is turned away from the numeric fields separately
+_ACCEPTS = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+
+
+def _check_types(cfg) -> None:
+    for name, kind in config_fields(type(cfg)).items():
+        value = getattr(cfg, name)
+        if not isinstance(value, _ACCEPTS[kind]) or (
+                kind is not bool and isinstance(value, bool)):
+            raise ConfigError(
+                f"{name} expects {kind.__name__}, got {value!r}")
 
 
 def coerce_value(cls, key: str, raw: str):

@@ -1,18 +1,12 @@
 """Convolution module: norm -> expanding linear -> SiLU -> depthwise + skip.
 
-The skip around the depthwise convolution is folded into its centre tap:
-y0 + depthwise(y0, w) is computed as depthwise(y0, w + e_centre), one
-convolution and no extra (frames, channels) sum. ``dw_w`` keeps its meaning
-(the taps without the skip), so checkpoints are unchanged; outputs match
-the unfolded sum within a relative 1e-13 (float64) or 1e-5 (float32) per
-frame.
-
-The stage runs as one tape primitive, ``ad.conv_stage``, with dropout
-after it. Under a tape a module keeps the normalized input with its
-1/sigma, the pre-activation and the bool dropout mask; backward rebuilds
-the norm output, the logistic and the silu output from them, so losses and
-gradients are bitwise those of the separate primitives. Without a tape
-each intermediate is freed where the separate primitives freed it.
+The stage runs as one tape primitive, ``ad.conv_stage``, which folds the
+skip into the depthwise centre tap, with dropout after it. Under a tape a
+module keeps the normalized input with its 1/sigma, the pre-activation and
+the bool dropout mask; backward rebuilds the norm output, the logistic and
+the silu output from them, so losses and gradients are bitwise those of
+the separate primitives. Without a tape each intermediate is freed where
+the separate primitives freed it.
 
 Used in three widths inside each block (feature-to-gate/value at 2N, the
 shared attention representation at D, and the output projection back to N).
@@ -84,19 +78,16 @@ def init_conv_module(
 def conv_module_forward(
     x, p: ConvModuleParams, rng: np.random.Generator | None = None,
 ) -> ad.Tensor:
-    """x (S, N_in) -> (S, N_out); the skip spans the depthwise convolution
-    and is folded into its centre tap. Without a depthwise stage the module
-    is normalization and projection only, with no activation or dropout.
+    """x (S, N_in) -> (S, N_out); the skip spans the depthwise convolution,
+    which ``ad.conv_stage`` folds into its centre tap. Without a depthwise
+    stage the module is normalization and projection only, with no
+    activation or dropout.
 
     Dropout draws its masks from ``rng`` when one is given (training) and
     is the identity without one (inference).
     """
-    if p.dw_weight is None:
-        return ad.conv_stage(x, p.norm_gain, p.norm_bias, p.proj_weight,
-                             p.proj_bias)
-    taps = p.dw_weight.shape[1]
-    centre = np.zeros(taps, dtype=p.dw_weight.dtype)
-    centre[taps // 2] = 1.0
     y = ad.conv_stage(x, p.norm_gain, p.norm_bias, p.proj_weight,
-                      p.proj_bias, ad.add(p.dw_weight, centre))
+                      p.proj_bias, p.dw_weight)
+    if p.dw_weight is None:
+        return y
     return ad.dropout(y, p.dropout_p, rng)

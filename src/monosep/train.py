@@ -136,8 +136,9 @@ def dataset_si_sdri(model, items) -> float:
 def train(
     model: SeparationModel, cfg: TrainConfig, data, log=None,
 ) -> Checkpoint:
-    """Minimize PIT SI-SDR loss over ``data``; returns the best-validation
-    checkpoint (parameters, optimizer moments, RNG state, epoch)."""
+    """Minimize PIT SI-SDR loss over ``data``, one optimizer step per
+    training item; returns the best-validation checkpoint (parameters,
+    optimizer moments, RNG state, epoch), taken when validation improves."""
     cfg.validate()
     if not data:
         raise ConfigError("training data is empty")
@@ -147,57 +148,32 @@ def train(
                                cfg.patience)
     rng = np.random.default_rng(cfg.seed)
     store = model.store
-
-    def snapshot(epoch: int, best_val: float = float("inf")) -> Checkpoint:
-        return Checkpoint(
-            config=model.config,
-            params={n: t.data.copy() for n, t in store.items()},
-            adam_m={n: a.copy() for n, a in opt.m.items()},
-            adam_v={n: a.copy() for n, a in opt.v.items()},
-            adam_step=opt.step_count,
-            rng_state=rng.bit_generator.state,
-            epoch=epoch,
-            best_val=best_val,
-        )
-
-    best = snapshot(epoch=0)
-
-    batches = [
-        train_items[i:i + cfg.batch_size]
-        for i in range(0, len(train_items), cfg.batch_size)
-    ]
+    best = None
     steps_done = 0
     for epoch in range(cfg.max_epochs):
         epoch_total = 0.0
-        epoch_batches = 0
-        for b_index, batch in enumerate(batches):
+        for step, (mixture, sources) in enumerate(train_items):
             store.zero_grad()
             with ad.Tape() as tape:
-                losses = []
-                for mix_b, src_b in batch:
-                    ests = separate(model, mix_b, rng=rng)
-                    loss_b, _ = pit_loss(ests, src_b)
-                    losses.append(loss_b)
-                loss = losses[0]
-                for extra in losses[1:]:
-                    loss = ad.add(loss, extra)
-                if len(losses) > 1:
-                    loss = ad.div(loss, float(len(losses)))
+                # ``ests`` holds the estimates until the next step rebinds
+                # it: freed before backward, they let glibc trim the heap
+                # and fault its pages back in on the next step
+                ests = separate(model, mixture, rng=rng)
+                loss, _ = pit_loss(ests, sources)
                 value = loss.item()
                 if not math.isfinite(value):
                     raise NumericalError(f"non-finite loss {value} at "
-                                         f"epoch {epoch} batch {b_index}")
+                                         f"epoch {epoch} batch {step}")
                 tape.backward(loss)
             clip_gradient_norm(store, cfg.clip_norm)
             opt.lr = schedule.lr
             opt.step()
             epoch_total += value
-            epoch_batches += 1
             steps_done += 1
             if cfg.max_steps and steps_done >= cfg.max_steps:
                 break
 
-        train_loss = epoch_total / max(1, epoch_batches)
+        train_loss = epoch_total / (step + 1)
         val_loss = dataset_loss(model, val_items)
         if not math.isfinite(val_loss):
             raise NumericalError(
@@ -208,8 +184,17 @@ def train(
         if log is not None:
             log(f"epoch={epoch} lr={lr_now:.6g} train_loss={train_loss:.4f} "
                 f"val_loss={val_loss:.4f}")
-        if val_loss < best.best_val:
-            best = snapshot(epoch, val_loss)
+        if best is None or val_loss < best.best_val:
+            best = Checkpoint(
+                config=model.config,
+                params={n: t.data.copy() for n, t in store.items()},
+                adam_m={n: a.copy() for n, a in opt.m.items()},
+                adam_v={n: a.copy() for n, a in opt.v.items()},
+                adam_step=opt.step_count,
+                rng_state=rng.bit_generator.state,
+                epoch=epoch,
+                best_val=val_loss,
+            )
         if cfg.max_steps and steps_done >= cfg.max_steps:
             break
     return best

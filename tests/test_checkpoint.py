@@ -4,16 +4,12 @@ import dataclasses
 import gc
 import hashlib
 import json
-import os
 import struct
-import subprocess
-import sys
 import weakref
 
 import numpy as np
 import pytest
 
-import monosep
 from monosep import checkpoint as ckpt_mod
 from monosep import cli
 from monosep import config as cfg_mod
@@ -344,6 +340,29 @@ class TestErrors:
         with pytest.raises(CheckpointError, match="softmax"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit", [
+        {"chunk_size": 8.0}, {"chunk_size": True}, {"chunk_size": 1e300},
+        {"n_blocks": 1.0}, {"n_feat": 16.0}, {"single_gate": "no"},
+        {"single_gate": 1},
+    ], ids=repr)
+    def test_wrong_type_in_header_config_exits_2(self, tmp_path, capsys,
+                                                 edit):
+        # a float or a bool in an int field, or a non-bool flag: once a raw
+        # TypeError (exit 1) or, for the flags, a single-gate model
+        path = tmp_path / "typed.ckpt"
+        path.write_bytes(
+            with_header_config(self.make_file(tmp_path).read_bytes(), **edit))
+        (field,) = edit
+        with pytest.raises(CheckpointError, match=f"{field} expects"):
+            load_checkpoint(path)
+        wav = tmp_path / "mix.wav"
+        write_wav(wav, synth.synth_dataset(9, 1, 2, 700)[0][0], 8000)
+        assert cli.main(["separate", str(wav), "--ckpt", str(path),
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: malformed checkpoint: {field} expects ")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("case", ["n_feat=32", "parameter dropped"])
     def test_parameter_table_disagreeing_with_config(self, tmp_path, case):
         cfg = cfg_mod.preset("tiny")
@@ -433,29 +452,6 @@ def with_header_config(raw: bytes, **edits) -> bytes:
     return raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[header_end:]
 
 
-# Runs ``monosep separate`` once per argv in its JSON argument, in this one
-# process, after capping its own address space; prints a JSON list of
-# (exit code, stderr, seconds). A raw exception counts as exit 1.
-_CAPPED_SEPARATE = """
-import contextlib, io, json, resource, sys, time
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from monosep import cli
-results = []
-for argv in json.loads(sys.argv[1]):
-    err = io.StringIO()
-    start = time.perf_counter()
-    try:
-        with contextlib.redirect_stderr(err), \\
-                contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(argv)
-    except Exception as exc:
-        code = 1
-        err.write(repr(exc))
-    results.append((code, err.getvalue(), time.perf_counter() - start))
-print(json.dumps(results))
-"""
-
-
 class TestHostileHeader:
     """A header config that disagrees with its parameter table fails at the
     first parameter, and costs no more than the table: no array is made at
@@ -465,7 +461,7 @@ class TestHostileHeader:
              {"n_blocks": 3000}, {"dw_kernel": 10000001},
              {"enc_kernel": 100000000}, {"attn_dim": 2000000}]
 
-    def test_separate_fails_fast_under_1gib(self, tmp_path):
+    def test_separate_fails_fast_under_1gib(self, tmp_path, capped_cli):
         cfg = cfg_mod.preset("tiny")
         params = {n: t.data for n, t in
                   model_mod.build_model(cfg, seed=0).store.items()}
@@ -479,17 +475,7 @@ class TestHostileHeader:
             path.write_bytes(with_header_config(base.read_bytes(), **edit))
             argvs.append(["separate", str(wav), "--ckpt", str(path),
                           "--out-dir", str(tmp_path / "out")])
-        # one BLAS thread: each thread's buffers count against the cap
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(
-                       [os.path.dirname(os.path.dirname(monosep.__file__)),
-                        os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", _CAPPED_SEPARATE, json.dumps(argvs)],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        results = json.loads(proc.stdout)
-        assert len(results) == len(self.EDITS)
+        results = capped_cli(argvs)
         for edit, (code, err, seconds) in zip(self.EDITS, results):
             assert code == 2, (edit, err)
             assert err.startswith("error: parameter table disagrees with "

@@ -1,12 +1,15 @@
 """CLI: config parsing, subcommands, error reporting."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from monosep import cli
 from monosep.audio import read_wav, write_wav
 from monosep.checkpoint import load_checkpoint
-from monosep.config import ModelConfig
+from monosep.config import ModelConfig, TrainConfig, config_fields
 from monosep.errors import ConfigError
 from monosep.synth import synth_dataset
 
@@ -83,6 +86,19 @@ def train_args(tmp_path, out_name="m.ckpt"):
     ]
 
 
+def test_readme_lists_every_config_key():
+    # the sentence "Keys are the fields of `ModelConfig` (...), the fields
+    # of `TrainConfig` (...), and the data knobs (...)."
+    text = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    sentence = " ".join(re.search(r"Keys are the fields of .*?\)\.",
+                                  text, re.S).group(0).split())
+    lists = [[key.strip() for key in group.split(",")]
+             for group in re.findall(r"\(([^()]*)\)", sentence)]
+    assert lists == [list(config_fields(ModelConfig)),
+                     list(config_fields(TrainConfig)),
+                     list(cli._DATA_DEFAULTS)]
+
+
 class TestCommands:
     def test_train_writes_checkpoint(self, tmp_path, capsys):
         code = cli.main(train_args(tmp_path))
@@ -142,6 +158,13 @@ class TestCommands:
         code = cli.main(["gradcheck", "--samples", "48"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
+    def test_gradcheck_rejects_unusable_tolerance(self, capsys, tolerance):
+        # nan and -1 would always FAIL, and inf always PASS
+        assert cli.main(["gradcheck", "--tolerance", tolerance]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: tolerance must be positive and finite")
 
     def test_paramcount_lists_presets(self, capsys):
         code = cli.main(["paramcount"])

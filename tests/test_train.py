@@ -9,6 +9,7 @@ from monosep import autodiff as ad
 from monosep import config as cfg_mod
 from monosep import model as model_mod
 from monosep import synth, train
+from monosep.checkpoint import Checkpoint
 from monosep.errors import ConfigError, NumericalError
 
 
@@ -271,15 +272,51 @@ class TestTrainLoop:
             train.train(model, cfg_mod.TrainConfig(), [])
 
     @pytest.mark.parametrize("field,value", [
-        ("batch_size", 0), ("batch_size", -1), ("max_steps", -1),
+        ("max_steps", -1),
         ("lr_decay", -1.0), ("lr_decay", 0.0), ("lr_decay", 1.5),
-        ("patience", -3), ("seed", -1),
+        ("patience", -3), ("seed", -1), ("hold_epochs", -1),
+        # wrong types: a float or a bool where an int goes, a bool or a
+        # str where a float goes
+        ("max_epochs", 2.5), ("max_epochs", True), ("seed", 1.5),
+        ("max_steps", 1.5), ("patience", 1.5), ("lr", True),
+        ("clip_norm", "5"),
     ])
     def test_invalid_train_config_rejected(self, field, value):
         model, data = tiny_setup(seed=18)
-        tcfg = cfg_mod.TrainConfig(lr=1e-3, max_epochs=1, **{field: value})
+        tcfg = cfg_mod.TrainConfig(**{"lr": 1e-3, "max_epochs": 1,
+                                      field: value})
         with pytest.raises(ConfigError, match=field):
             train.train(model, tcfg, data)
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_blocks", 0), ("n_feat", 15), ("dw_kernel", 8),
+        ("dropout_p", 1.0), ("gate_phi", "tanh"),
+        ("chunk_size", 8.0), ("chunk_size", True), ("chunk_size", 1e300),
+        ("n_blocks", 1.0), ("n_feat", 16.0), ("single_gate", "no"),
+        ("single_gate", 1), ("dropout_p", False), ("attention_mode", 1),
+    ])
+    def test_invalid_model_config_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            cfg_mod.preset("tiny", **{field: value})
+
+    def test_int_accepted_for_float_fields(self):
+        cfg_mod.TrainConfig(lr=1, clip_norm=5, lr_decay=1).validate()
+        assert cfg_mod.preset("tiny", dropout_p=0).dropout_p == 0
+
+    def test_one_epoch_builds_one_checkpoint(self, monkeypatch):
+        # the best snapshot is taken when validation improves, and not
+        # before the first epoch as well
+        built = []
+
+        def counting(**fields):
+            built.append(fields["epoch"])
+            return Checkpoint(**fields)
+
+        monkeypatch.setattr(train, "Checkpoint", counting)
+        model, data = tiny_setup(seed=20)
+        ckpt = train.train(
+            model, cfg_mod.TrainConfig(lr=1e-3, max_epochs=1, seed=21), data)
+        assert built == [0] and ckpt.epoch == 0
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("field", ["lr", "clip_norm"])
