@@ -261,7 +261,10 @@ def _grad_target(t: Tensor) -> _Node | Tensor | None:
 
 
 def _accum(target: _Node | Tensor, g: np.ndarray) -> None:
-    # never in-place: g may alias another node's grad buffer
+    # never in-place: g may alias another node's grad buffer. A leaf takes g
+    # in C order, its value's, or Adam would stride a transposed view
+    if isinstance(target, Tensor):
+        g = np.asarray(g, order="C")
     target.grad = g if target.grad is None else target.grad + g
 
 
@@ -746,8 +749,8 @@ def transposed_conv1d(x, weight, stride: int) -> Tensor:
     return _op(out_data, (x, weight), backward)
 
 
-# frames per tile of the (L, C) <-> (C, L) copies around the depthwise GEMM:
-# one whole-array transposed copy strides through memory, tiles stay in cache
+# frames per tile of the (L, C) -> (C, L) copy into the depthwise GEMM: one
+# whole-array transposed copy strides through memory, tiles stay in cache
 _TRANSPOSE_TILE = 64
 
 
@@ -779,13 +782,8 @@ def _channels_major(a: np.ndarray, lead: int, width: int, dtype) -> np.ndarray:
 
 
 def _frames_major(y: np.ndarray, L: int) -> np.ndarray:
-    """The first L columns of ``y`` (C, n) as a (L, C) array, copied in
-    frame tiles."""
-    out = np.empty((L, y.shape[0]), dtype=y.dtype)
-    for s0 in range(0, L, _TRANSPOSE_TILE):
-        tile = out[s0 : s0 + _TRANSPOSE_TILE]
-        tile[...] = y[:, s0 : s0 + len(tile)].T
-    return out
+    """The first L columns of ``y`` (C, n) as a contiguous (L, C) array."""
+    return np.ascontiguousarray(y[:, :L].T)
 
 
 def _depthwise_windows(xp: np.ndarray, B: int, K: int) -> np.ndarray:
@@ -1136,9 +1134,9 @@ class ParamStore:
     entry requires grad. Model init code declares each parameter with
     ``param``; ``add`` registers a given array. Both leave ``grad`` as
     ``None``, so a model that only runs forward (``separate``) holds its
-    weights and nothing else; ``zero_grad`` gives every entry a zero
-    gradient of its value's shape, and a backward pass without it writes a
-    gradient only into the entries on the path to the loss.
+    weights and nothing else. ``zero_grad`` sets every slot back to
+    ``None``, like torch's ``zero_grad(set_to_none=True)``; backward adopts
+    the first gradient that reaches an entry, and the rest stay ``None``.
     """
 
     def __init__(self, dtype=np.float64):
@@ -1178,7 +1176,7 @@ class ParamStore:
 
     def zero_grad(self) -> None:
         for t in self._entries.values():
-            t.grad = np.zeros_like(t.data)
+            t.grad = None
 
     def total_scalars(self) -> int:
         return sum(t.data.size for t in self._entries.values())
@@ -1223,7 +1221,8 @@ def gradient_check(
     with Tape() as tape:
         loss = f(params)
         tape.backward(loss)
-    analytic = {n: t.grad.copy() for n, t in params.items()}
+    analytic = {n: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+                for n, t in params.items()}
 
     worst = 0.0
     worst_at = ""

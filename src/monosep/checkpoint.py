@@ -138,7 +138,7 @@ def load_checkpoint(path) -> Checkpoint:
         except CheckpointError:
             raise
         except (ValueError, KeyError, TypeError, AttributeError,
-                OverflowError) as exc:
+                OverflowError, RecursionError) as exc:
             # JSONDecodeError and UnicodeDecodeError are ValueErrors
             raise CheckpointError(
                 f"{path}: malformed checkpoint: {exc}") from exc

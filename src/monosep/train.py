@@ -22,7 +22,7 @@ class Adam:
     """Standard Adam with bias correction and the published betas and eps;
     operates on a ParamStore. Only ``lr`` varies: the training loop sets it
     from the schedule before every step. A parameter whose ``grad`` is
-    ``None`` (never zeroed, and no backward pass reached it) is skipped,
+    ``None`` (no backward pass reached it since ``zero_grad``) is skipped,
     its moments untouched, as ``torch.optim`` does."""
 
     def __init__(self, store: ad.ParamStore, lr: float):
@@ -71,7 +71,8 @@ def clip_gradient_norm(store: ad.ParamStore, max_norm: float) -> float:
 
 class PlateauSchedule:
     """Hold the rate for ``hold_epochs``, then multiply by ``decay`` whenever
-    validation loss has not improved for more than ``patience`` epochs."""
+    validation loss has not fallen below ``best - 1e-12`` for more than
+    ``patience`` epochs; ``update`` returns whether the epoch improved."""
 
     def __init__(self, lr: float, hold_epochs: int, decay: float,
                  patience: int):
@@ -82,16 +83,17 @@ class PlateauSchedule:
         self.best = math.inf
         self.bad_epochs = 0
 
-    def update(self, epoch: int, val_loss: float) -> float:
+    def update(self, epoch: int, val_loss: float) -> bool:
         if val_loss < self.best - 1e-12:
             self.best = val_loss
             self.bad_epochs = 0
-        elif epoch >= self.hold_epochs:
+            return True
+        if epoch >= self.hold_epochs:
             self.bad_epochs += 1
             if self.bad_epochs > self.patience:
                 self.lr *= self.decay
                 self.bad_epochs = 0
-        return self.lr
+        return False
 
 
 def split_dataset(data):
@@ -137,8 +139,8 @@ def train(
     model: SeparationModel, cfg: TrainConfig, data, log=None,
 ) -> Checkpoint:
     """Minimize PIT SI-SDR loss over ``data``, one optimizer step per
-    training item; returns the best-validation checkpoint (parameters,
-    optimizer moments, RNG state, epoch), taken when validation improves."""
+    training item; returns the checkpoint (parameters, optimizer moments,
+    RNG state, epoch) of the last epoch the schedule counts as improved."""
     cfg.validate()
     if not data:
         raise ConfigError("training data is empty")
@@ -149,7 +151,6 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     store = model.store
     best = None
-    steps_done = 0
     for epoch in range(cfg.max_epochs):
         epoch_total = 0.0
         for step, (mixture, sources) in enumerate(train_items):
@@ -169,8 +170,7 @@ def train(
             opt.lr = schedule.lr
             opt.step()
             epoch_total += value
-            steps_done += 1
-            if cfg.max_steps and steps_done >= cfg.max_steps:
+            if cfg.max_steps and opt.step_count >= cfg.max_steps:
                 break
 
         train_loss = epoch_total / (step + 1)
@@ -180,11 +180,11 @@ def train(
                 f"non-finite validation loss {val_loss} at epoch {epoch}"
             )
         lr_now = schedule.lr
-        schedule.update(epoch, val_loss)
+        improved = schedule.update(epoch, val_loss)
         if log is not None:
             log(f"epoch={epoch} lr={lr_now:.6g} train_loss={train_loss:.4f} "
                 f"val_loss={val_loss:.4f}")
-        if best is None or val_loss < best.best_val:
+        if improved:
             best = Checkpoint(
                 config=model.config,
                 params={n: t.data.copy() for n, t in store.items()},
@@ -195,6 +195,6 @@ def train(
                 epoch=epoch,
                 best_val=val_loss,
             )
-        if cfg.max_steps and steps_done >= cfg.max_steps:
+        if cfg.max_steps and opt.step_count >= cfg.max_steps:
             break
     return best

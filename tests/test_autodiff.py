@@ -1058,12 +1058,18 @@ class TestParamStore:
             store.add("a", np.zeros(2))
 
     def test_grad_slots_pair_values(self):
-        store = ad.ParamStore()
-        t = store.add("w", np.ones((3, 4)))
-        assert t.grad is None  # allocated on demand, not by add
-        store.zero_grad()
+        store = ad.ParamStore(np.float32)
+        t = store.add("w", np.arange(12.0).reshape(3, 4))
+        assert t.grad is None  # made by backward, not by add
+        x = np.ones((5, 4), dtype=np.float32)
+        with ad.Tape() as tape:
+            # linear's transpose hands the weight a transposed view
+            tape.backward(ad.sum_all(ad.linear(x, t, np.float32(0.0))))
         assert t.grad.shape == t.data.shape and t.grad.dtype == t.data.dtype
-        assert np.all(t.grad == 0)
+        assert t.grad.flags.c_contiguous
+        np.testing.assert_array_equal(t.grad, np.full((3, 4), 5.0))
+        store.zero_grad()
+        assert t.grad is None
 
     def test_total_scalars_and_norm(self):
         store = ad.ParamStore()

@@ -328,6 +328,20 @@ class TestErrors:
             except CheckpointError:
                 pass
 
+    def test_deeply_nested_header_exits_2(self, tmp_path, capsys):
+        # json.loads recurses once per bracket: once a raw RecursionError
+        blob = b"[" * 200_000
+        path = tmp_path / "nested.ckpt"
+        raw = self.make_file(tmp_path).read_bytes()
+        path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob)
+        wav = tmp_path / "mix.wav"
+        write_wav(wav, synth.synth_dataset(9, 1, 2, 700)[0][0], 8000)
+        assert cli.main(["separate", str(wav), "--ckpt", str(path),
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: malformed checkpoint: maximum recursion depth")
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_config_rejected_on_load(self, tmp_path):
         raw = self.make_file(tmp_path).read_bytes()
         header_end = 16 + int.from_bytes(raw[8:16], "little")

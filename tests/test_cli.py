@@ -159,6 +159,14 @@ class TestCommands:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_gradcheck_passes_with_unreached_parameters(self, capsys):
+        # local_only never reaches the global-attention parameters, whose
+        # slots backward leaves empty
+        code = cli.main(["gradcheck", "--samples", "48",
+                         "--set", "attention_mode=local_only"])
+        assert code == 0
+        assert "PASS" in capsys.readouterr().out
+
     @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
     def test_gradcheck_rejects_unusable_tolerance(self, capsys, tolerance):
         # nan and -1 would always FAIL, and inf always PASS

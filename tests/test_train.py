@@ -11,6 +11,8 @@ from monosep import model as model_mod
 from monosep import synth, train
 from monosep.checkpoint import Checkpoint
 from monosep.errors import ConfigError, NumericalError
+from monosep.losses import pit_loss
+from monosep.model import separate
 
 
 class TestSynth:
@@ -141,26 +143,61 @@ class TestAdam:
                 assert t.grad is None, name
                 np.testing.assert_array_equal(t.data, before[name])
 
+    def test_zero_grad_empties_every_slot(self):
+        model = model_mod.build_model(cfg_mod.preset("tiny"), seed=0)
+        mixture, sources = synth.synth_dataset(0, 1, 2, 400)[0]
+        with ad.Tape() as tape:
+            tape.backward(pit_loss(separate(model, mixture), sources)[0])
+        assert all(t.grad is not None for _, t in model.store.items())
+        model.store.zero_grad()
+        assert [n for n, t in model.store.items() if t.grad is not None] == []
+
+    def test_step_equal_with_and_without_zero_grad(self):
+        # local_only leaves the global-attention parameters off the loss's
+        # path: their slots stay empty on both paths, and the update skips
+        # them alike
+        cfg = cfg_mod.preset("tiny", attention_mode="local_only")
+        mixture, sources = synth.synth_dataset(1, 1, 2, 400)[0]
+
+        def step(zero_grad):
+            model = model_mod.build_model(cfg, seed=2)
+            if zero_grad:
+                model.store.zero_grad()
+            with ad.Tape() as tape:
+                ests = separate(model, mixture, rng=np.random.default_rng(3))
+                tape.backward(pit_loss(ests, sources)[0])
+            grads = [None if t.grad is None else t.grad.tobytes()
+                     for _, t in model.store.items()]
+            train.clip_gradient_norm(model.store, 1.0)
+            train.Adam(model.store, lr=1e-2).step()
+            return grads, [t.data.tobytes() for _, t in model.store.items()]
+
+        with_zero, without = step(True), step(False)
+        assert None in with_zero[0]
+        assert with_zero == without
+
 
 class TestPlateauSchedule:
     def test_holds_then_decays(self):
         s = train.PlateauSchedule(1.0, hold_epochs=3, decay=0.5, patience=2)
-        # no improvement from the start: epochs 0-2 are protected by the hold
-        for epoch in range(3):
-            assert s.update(epoch, 10.0) == 1.0
-        assert s.update(3, 10.0) == 1.0  # bad run 1
-        assert s.update(4, 10.0) == 1.0  # bad run 2, still within patience
-        assert s.update(5, 10.0) == 0.5  # patience exceeded
+        assert s.update(0, 10.0) and s.lr == 1.0  # any finite loss beats inf
+        # no improvement after that: epochs 1-2 are protected by the hold
+        for epoch in (1, 2):
+            assert not s.update(epoch, 10.0) and s.lr == 1.0
+        assert not s.update(3, 10.0) and s.lr == 1.0  # bad run 1
+        assert not s.update(4, 10.0) and s.lr == 1.0  # bad run 2, in patience
+        assert not s.update(5, 10.0) and s.lr == 0.5  # patience exceeded
 
     def test_improvement_resets_patience(self):
         s = train.PlateauSchedule(1.0, hold_epochs=0, decay=0.5, patience=2)
-        s.update(0, 5.0)
-        s.update(1, 6.0)
-        s.update(2, 6.0)
-        assert s.update(3, 4.0) == 1.0  # improvement wipes the bad streak
-        s.update(4, 6.0)
-        s.update(5, 6.0)
-        assert s.update(6, 6.0) == 0.5
+        assert s.update(0, 5.0)
+        assert not s.update(1, 6.0)
+        assert not s.update(2, 6.0)
+        # improvement wipes the bad streak
+        assert s.update(3, 4.0) and s.lr == 1.0
+        assert not s.update(4, 6.0)
+        assert not s.update(5, 6.0)
+        assert not s.update(6, 6.0) and s.lr == 0.5
 
 
 class TestSplit:
@@ -227,6 +264,26 @@ class TestTrainLoop:
         assert np.isfinite(ckpt.best_val)
         assert set(ckpt.params) == {name for name, _ in model.store.items()}
         assert ckpt.adam_m is not None and ckpt.adam_v is not None
+
+    def test_improvement_under_threshold_keeps_earlier_epoch(
+            self, monkeypatch):
+        # epoch 2 beats epoch 1 by less than the schedule's 1e-12, so it is
+        # a stall and epoch 1 stays the returned checkpoint
+        model, data = tiny_setup(seed=10, count=2)
+        val_losses = iter([1.0, 0.5, 0.5 - 1e-13, 0.7])
+        seen = []
+
+        def fake_loss(model, items):
+            seen.append({n: t.data.copy() for n, t in model.store.items()})
+            return next(val_losses)
+
+        monkeypatch.setattr(train, "dataset_loss", fake_loss)
+        ckpt = train.train(model, cfg_mod.TrainConfig(lr=1e-3, max_epochs=4,
+                                                      seed=11), data)
+        assert len(seen) == 4
+        assert (ckpt.epoch, ckpt.best_val, ckpt.adam_step) == (1, 0.5, 2)
+        for name, value in seen[1].items():
+            np.testing.assert_array_equal(ckpt.params[name], value)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_gradient_stops_before_update(self, monkeypatch, bad):
