@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .config import ModelConfig, TrainConfig
 from .errors import ConfigError
 from .model import build_model
-from .train import dataset_loss, dataset_si_sdri, split_dataset, train
+from .train import dataset_scores, split_dataset, train
 
 
 @dataclass
@@ -112,12 +112,13 @@ def run_ablation(
         cfg = replace(base_cfg, **delta).validate()
         model = build_model(cfg, seed=train_cfg.seed)
         train(model, run_cfg, data)
+        loss, gain = dataset_scores(model, train_items)
         row = AblationRow(
             variant=name,
             n_params=model.store.total_scalars(),
             steps=budget,
-            loss=dataset_loss(model, train_items),
-            si_sdri=dataset_si_sdri(model, train_items),
+            loss=loss,
+            si_sdri=gain,
         )
         rows.append(row)
         if log is not None:

@@ -17,6 +17,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import autodiff as ad
+# called through the module, so a rebound conv_module_forward is seen
+from . import conv_module as cm
 from .conv_module import ConvModuleParams, init_conv_module
 from .errors import ConfigError
 
@@ -221,7 +223,8 @@ def joint_attention(
     sums the local and global branch outputs elementwise; the *_only modes
     return a single branch for ablations.
     """
-    q_loc, k_loc, q_glob, k_glob = derive_qk(p.shared(x, rng), p)
+    q_loc, k_loc, q_glob, k_glob = derive_qk(
+        cm.conv_module_forward(x, p.shared, rng), p)
     if p.mode == "local_only":
         return local_attention(q_loc, k_loc, values, gates, p.chunk_size)
     if p.mode == "global_only":

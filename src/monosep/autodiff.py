@@ -988,10 +988,10 @@ def linear(x, weight, bias) -> Tensor:
     return add(y, bias)
 
 
-def conv_stage(x, gain, bias, weight, proj_bias, taps=None) -> Tensor:
+def conv_stage(x, gain, bias, weight, proj_bias, taps) -> Tensor:
     """A convolution module's stage as one primitive: ``layer_norm(x, gain,
-    bias)``, then ``linear(., weight, proj_bias)``, then, given ``taps``
-    (N_out, K), ``silu`` and a depthwise convolution with a skip around it.
+    bias)``, then ``linear(., weight, proj_bias)``, then ``silu`` and a
+    depthwise convolution with ``taps`` (N_out, K) and a skip around it.
     x (S, N_in) -> (S, N_out).
 
     The skip is folded into the centre tap: y0 + depthwise(y0, taps) is
@@ -1003,15 +1003,16 @@ def conv_stage(x, gain, bias, weight, proj_bias, taps=None) -> Tensor:
     It makes the folded taps first, as ``add(taps, e_centre)`` would, then
     runs the kernels of those primitives, so its output and gradients are
     bitwise theirs. It keeps less for backward: the normalized input with
-    its 1/sigma and, with taps, the projection output (the
-    pre-activation). Backward rebuilds the norm output for the weight
-    gradient, and the logistic and the silu output for the silu and taps
-    gradients, with the forward's own expressions. Unrecorded, the stage
-    frees each intermediate where the separate primitives would, the
-    pre-activation before the depthwise packing.
+    its 1/sigma and the projection output (the pre-activation). Backward
+    rebuilds the norm output for the weight gradient, and the logistic and
+    the silu output for the silu and taps gradients, with the forward's own
+    expressions. Unrecorded, the stage frees each intermediate where the
+    separate primitives would, the pre-activation before the depthwise
+    packing.
     """
-    x, gain, bias, weight, proj_bias = (
-        as_tensor(t) for t in (x, gain, bias, weight, proj_bias))
+    inputs = tuple(as_tensor(t)
+                   for t in (x, gain, bias, weight, proj_bias, taps))
+    x, gain, bias, weight, proj_bias, taps = inputs
     _check_norm("conv_stage", x.data, gain.data, bias.data)
     wv = weight.data
     if (wv.ndim != 2 or wv.shape[1] != x.data.shape[1]
@@ -1020,18 +1021,12 @@ def conv_stage(x, gain, bias, weight, proj_bias, taps=None) -> Tensor:
             f"conv_stage projection must be weight (N_out, "
             f"{x.data.shape[1]}) and bias (N_out,); got {wv.shape} and "
             f"{proj_bias.data.shape}")
-    inputs = (x, gain, bias, weight, proj_bias)
-    tv = dtype = None
-    if taps is not None:
-        taps = as_tensor(taps)
-        _check_taps("conv_stage", wv.shape[0], taps.data)
-        inputs += (taps,)
-        centre = np.zeros(taps.data.shape[1], dtype=taps.data.dtype)
-        centre[len(centre) // 2] = 1.0
-        tv = taps.data + centre
+    _check_taps("conv_stage", wv.shape[0], taps.data)
+    centre = np.zeros(taps.data.shape[1], dtype=taps.data.dtype)
+    centre[len(centre) // 2] = 1.0
+    tv = taps.data + centre
     record = _records(inputs)
-    rx, rg, rb, rw, rpb = (t.requires_grad for t in inputs[:5])
-    rt = tv is not None and taps.requires_grad
+    rx, rg, rb, rw, rpb, rt = (t.requires_grad for t in inputs)
     gv, bv = gain.data, bias.data
 
     # arrays are made and freed in the order the separate primitives make
@@ -1046,36 +1041,30 @@ def conv_stage(x, gain, bias, weight, proj_bias, taps=None) -> Tensor:
     proj = norm_out @ wv.T
     pre = proj + proj_bias.data
     del norm_out, proj
-    if tv is None:
-        out, pre = pre, None  # without taps backward reads no pre-activation
-    else:
-        s = _logistic(pre)
-        act = pre * s  # the silu output
-        del s
-        dtype = np.result_type(act, tv)
-        if not record:
-            pre = None
-        out = _depthwise_gemm(_depthwise_pack(act, tv.shape[1], dtype), tv,
-                              len(act))
+    s = _logistic(pre)
+    act = pre * s  # the silu output
+    del s
+    dtype = np.result_type(act, tv)
+    if not record:
+        pre = None
+    out = _depthwise_gemm(_depthwise_pack(act, tv.shape[1], dtype), tv,
+                          len(act))
 
     def backward(g):
-        gt = None
-        if tv is not None:
-            s = _logistic(pre)
-            g, gt = _depthwise_grads(g, pre * s if rt else None, tv, dtype,
-                                     rx or rg or rb or rw or rpb)
-            g = None if g is None else _silu_grad(g, pre, s)
-            del s
-        taps_grad = () if tv is None else (gt,)
+        s = _logistic(pre)
+        g, gt = _depthwise_grads(g, pre * s if rt else None, tv, dtype,
+                                 rx or rg or rb or rw or rpb)
         if g is None:
-            return (None,) * 5 + taps_grad
+            return (None,) * 5 + (gt,)
+        g = _silu_grad(g, pre, s)
+        del s
         norm_out = _affine(xhat, gv, bv) if rw else None
         g_norm, g_wt = _matmul_grads(g, norm_out,
                                      wv.T if rx or rg or rb else None)
         del norm_out
         return (*_normalize_grads(g_norm, xhat, inv_std, gv, rx, rg, rb),
                 None if g_wt is None else g_wt.T,
-                _sum_rows(g) if rpb else None, *taps_grad)
+                _sum_rows(g) if rpb else None, gt)
 
     return _op(out, inputs, backward)
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+# called through the module, so a rebound conv_module_forward is seen
+from . import conv_module as cm
 from .attention import AttentionParams, init_attention, joint_attention
 from .config import ModelConfig
 from .conv_module import ConvModuleParams, init_conv_module
@@ -52,12 +54,12 @@ def block_forward(
     x, p: BlockParams, rng: np.random.Generator | None = None,
 ) -> ad.Tensor:
     x = ad.as_tensor(x)
-    gate_seq = p.to_gate(x, rng)
-    value_seq = p.to_value(x, rng)
+    gate_seq = cm.conv_module_forward(x, p.to_gate, rng)
+    value_seq = cm.conv_module_forward(x, p.to_value, rng)
     value_attn, gate_attn = joint_attention(x, value_seq, gate_seq, p.attn, rng)
     gated = ad.mul(gate_attn, value_seq)
     if not p.single_gate:
         gated = ad.mul(
             ad.activation(p.gate_phi, ad.mul(gate_seq, value_attn)), gated
         )
-    return ad.add(x, p.out_proj(gated, rng))
+    return ad.add(x, cm.conv_module_forward(gated, p.out_proj, rng))

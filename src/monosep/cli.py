@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import resource
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,19 +23,15 @@ from .audio import read_wav, write_wav
 from .checkpoint import load_checkpoint, restore_model, save_checkpoint
 from .config import (ModelConfig, TrainConfig, PRESET_PARAM_TARGETS,
                      coerce_value, config_fields, preset, preset_names)
-from .errors import (CheckpointError, ConfigError, DimensionError,
-                     InputTooShortError, InvalidReferenceError,
-                     NumericalError, WavFormatError)
+from .errors import ConfigError, MonosepError, WavFormatError
 from .losses import pit_loss
 from .model import build_model, count_parameters, separate
 from .synth import synth_dataset
-from .train import dataset_loss, dataset_si_sdri, train
+from .train import dataset_scores, train
 
 _DATA_DEFAULTS = {"data_seed": 0, "data_count": 8, "data_samples": 4000}
 
-_HANDLED_ERRORS = (ConfigError, DimensionError, NumericalError,
-                   InputTooShortError, InvalidReferenceError,
-                   WavFormatError, CheckpointError, OSError)
+_HANDLED_ERRORS = (MonosepError, OSError)
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -95,6 +92,50 @@ def build_configs(pairs) -> tuple[ModelConfig, TrainConfig, dict[str, int]]:
     return preset(preset_name, **overrides), tcfg.validate(), data
 
 
+def _memory_limits() -> list[tuple[str, int]]:
+    """(name, bytes) of this process's address-space soft limit, when one
+    is set, and of the host's available memory, when the kernel reports
+    it."""
+    limits = []
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        limits.append(("the address-space limit", soft))
+    try:
+        with open("/proc/meminfo", encoding="ascii") as meminfo:
+            for line in meminfo:
+                if line.startswith("MemAvailable:"):
+                    limits.append(("available memory",
+                                   int(line.split()[1]) * 1024))
+    except OSError:
+        pass
+    return limits
+
+
+def check_fits(mcfg: ModelConfig, dtype, data_key: str, n_items: int,
+               n_samples: int) -> None:
+    """Refuse a run, before anything is built, whose parameters and
+    synthetic data cannot fit in memory: four ``dtype`` arrays per
+    parameter (weights, gradients and Adam's two moments), and
+    ``n_items`` float64 mixtures with their sources, ``n_samples`` each.
+    Activations are left out, so only what cannot fit is refused. Over the
+    address-space limit or the available memory, ``ConfigError`` names the
+    larger share, the model's or ``data_key``'s."""
+    n_params = count_parameters(mcfg)
+    need = {
+        f"the model ({n_params:,} parameters at n_feat={mcfg.n_feat}, "
+        f"n_blocks={mcfg.n_blocks})": n_params * 4 * np.dtype(dtype).itemsize,
+        data_key: n_items * (mcfg.n_speakers + 1) * n_samples * 8,
+    }
+    total = sum(need.values())
+    for name, limit in _memory_limits():
+        if total > limit:
+            key = max(need, key=need.get)
+            raise ConfigError(
+                f"{key} needs about {need[key] / 2**30:.1f} GiB; the run "
+                f"needs at least {total / 2**30:.1f} GiB, more than {name} "
+                f"({limit / 2**30:.1f} GiB)")
+
+
 def synth_data(mcfg: ModelConfig, data: dict[str, int]):
     return synth_dataset(data["data_seed"], data["data_count"],
                          mcfg.n_speakers, data["data_samples"],
@@ -103,6 +144,8 @@ def synth_data(mcfg: ModelConfig, data: dict[str, int]):
 
 def cmd_train(args) -> int:
     mcfg, tcfg, data_opts = build_configs(collect_pairs(args))
+    check_fits(mcfg, np.float32, "data_count x data_samples",
+               data_opts["data_count"], data_opts["data_samples"])
     data = synth_data(mcfg, data_opts)
     model = build_model(mcfg, seed=tcfg.seed)
     ckpt = train(model, tcfg, data, log=print)
@@ -133,14 +176,15 @@ def cmd_eval(args) -> int:
     _, _, data_opts = build_configs(collect_pairs(args))
     model = restore_model(load_checkpoint(args.ckpt))
     data = synth_data(model.config, data_opts)
-    loss = dataset_loss(model, data)
-    gain = dataset_si_sdri(model, data)
+    loss, gain = dataset_scores(model, data)
     print(f"items={len(data)} loss={loss:.4f} si_sdri={gain:.4f}")
     return 0
 
 
 def cmd_ablate(args) -> int:
     mcfg, tcfg, data_opts = build_configs(collect_pairs(args))
+    check_fits(mcfg, np.float32, "data_count x data_samples",
+               data_opts["data_count"], data_opts["data_samples"])
     data = synth_data(mcfg, data_opts)
     report = run_ablation(args.suite, mcfg, tcfg, budget=args.steps,
                           data=data, log=print)
@@ -157,6 +201,7 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError(
             f"tolerance must be positive and finite, got {args.tolerance}")
     mcfg, tcfg, _ = build_configs(collect_pairs(args))
+    check_fits(mcfg, np.float64, "--samples", 1, args.samples)
     model = build_model(mcfg, seed=tcfg.seed, dtype=np.float64)
     mixture, sources = synth_dataset(tcfg.seed, 1, mcfg.n_speakers,
                                      args.samples, mcfg.sample_rate)[0]

@@ -11,9 +11,11 @@ the separate primitives freed it.
 Used in three widths inside each block (feature-to-gate/value at 2N, the
 shared attention representation at D, and the output projection back to N).
 Ablation runs build the module without its depthwise stage
-(``dw_kernel=None``): normalization and projection only, under the same
-parameter names. ``linear_params`` declares the weight and bias of every
-dense projection in the model, here and in the mask head.
+(``dw_kernel=None``): the dense stand-in, ``ad.layer_norm`` then
+``ad.linear`` under the same parameter names, with no activation or
+dropout. ``conv_module_forward`` runs either kind. ``linear_params``
+declares the weight and bias of every dense projection in the model, here
+and in the mask head.
 """
 
 from __future__ import annotations
@@ -36,9 +38,6 @@ class ConvModuleParams:
     dw_weight: ad.Tensor | None  # (N_out, K2); None: norm and projection only
     dropout_p: float = 0.0
 
-    def __call__(self, x, rng: np.random.Generator | None = None) -> ad.Tensor:
-        return conv_module_forward(x, self, rng)
-
 
 def linear_params(
     store: ad.ParamStore, prefix: str, n_in: int, n_out: int,
@@ -55,7 +54,9 @@ def init_conv_module(
     store: ad.ParamStore, prefix: str, n_in: int, n_out: int,
     dw_kernel: int | None, dropout_p: float, rng: np.random.Generator,
 ) -> ConvModuleParams:
-    """``dw_kernel=None`` builds the dense stand-in: no depthwise stage."""
+    """``{prefix}.norm_g``, ``{prefix}.norm_b``, the projection and, for an
+    odd ``dw_kernel``, the depthwise taps ``{prefix}.dw_w``;
+    ``dw_kernel=None`` builds the dense stand-in, without taps."""
     if dw_kernel is not None and dw_kernel % 2 == 0:
         raise ConfigError(f"depthwise kernel must be odd, got {dw_kernel}")
     norm_gain = store.param(f"{prefix}.norm_g", (n_in,), np.ones)
@@ -79,15 +80,16 @@ def conv_module_forward(
     x, p: ConvModuleParams, rng: np.random.Generator | None = None,
 ) -> ad.Tensor:
     """x (S, N_in) -> (S, N_out); the skip spans the depthwise convolution,
-    which ``ad.conv_stage`` folds into its centre tap. Without a depthwise
-    stage the module is normalization and projection only, with no
+    which ``ad.conv_stage`` folds into its centre tap. The dense stand-in
+    (no depthwise taps) is ``layer_norm`` then ``linear``, with no
     activation or dropout.
 
     Dropout draws its masks from ``rng`` when one is given (training) and
     is the identity without one (inference).
     """
+    if p.dw_weight is None:
+        return ad.linear(ad.layer_norm(x, p.norm_gain, p.norm_bias),
+                         p.proj_weight, p.proj_bias)
     y = ad.conv_stage(x, p.norm_gain, p.norm_bias, p.proj_weight,
                       p.proj_bias, p.dw_weight)
-    if p.dw_weight is None:
-        return y
     return ad.dropout(y, p.dropout_p, rng)

@@ -1,33 +1,39 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. Each derives from
+``MonosepError``, so one ``except`` catches every package error, and from
+the builtin type its callers already expect."""
 
 
-class DimensionError(ValueError):
+class MonosepError(Exception):
+    """Base of every error the package raises on purpose."""
+
+
+class DimensionError(MonosepError, ValueError):
     """Operand shapes are inconsistent; message names the offending axes."""
 
 
-class ConfigError(ValueError):
+class ConfigError(MonosepError, ValueError):
     """A configuration value is invalid (unknown kind, even kernel, ...)."""
 
 
-class NumericalError(ArithmeticError):
+class NumericalError(MonosepError, ArithmeticError):
     """A computation produced non-finite values; message names the culprit."""
 
 
-class InputTooShortError(ValueError):
+class InputTooShortError(MonosepError, ValueError):
     """An input waveform is shorter than the encoder kernel."""
 
 
-class InvalidReferenceError(ValueError):
+class InvalidReferenceError(MonosepError, ValueError):
     """A reference signal is unusable (e.g. all zeros) for SI-SDR."""
 
 
-class WavFormatError(ValueError):
+class WavFormatError(MonosepError, ValueError):
     """A WAV file does not match the mono / 8 kHz / 16-bit PCM contract."""
 
 
-class CheckpointError(ValueError):
+class CheckpointError(MonosepError, ValueError):
     """A checkpoint file is malformed or incompatible with the model config."""
 
 
-class TapeError(RuntimeError):
+class TapeError(MonosepError, RuntimeError):
     """A tape was used after backward consumed it."""

@@ -118,21 +118,28 @@ def dataset_loss(model, items) -> float:
     return total / len(items)
 
 
-def dataset_si_sdri(model, items) -> float:
-    """Mean SI-SDR improvement over ``items``: separated quality under the
+def dataset_scores(model, items) -> tuple[float, float]:
+    """Mean PIT loss and mean SI-SDR improvement over ``items``, from one
+    evaluation-mode pass: the improvement is separated quality under the
     best speaker permutation, minus the unprocessed-mixture baseline."""
     if not items:
         raise ConfigError("evaluation data is empty")
-    total = 0.0
+    loss_total = gain_total = 0.0
     pairs = 0
     for mixture, sources in items:
         ests = separate(model, mixture)
-        _, perm = pit_loss(ests, sources)
+        loss, perm = pit_loss(ests, sources)
+        loss_total += loss.item()
         for ref_index, est_index in enumerate(perm):
             gain = si_sdri(ests[est_index], mixture, sources[ref_index])
-            total += gain.item()
+            gain_total += gain.item()
             pairs += 1
-    return total / pairs
+    return loss_total / len(items), gain_total / pairs
+
+
+def dataset_si_sdri(model, items) -> float:
+    """Mean SI-SDR improvement over ``items`` (see ``dataset_scores``)."""
+    return dataset_scores(model, items)[1]
 
 
 def train(

@@ -16,9 +16,7 @@ _CAPPED_CLI = """
 import contextlib, io, json, resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from monosep import cli, errors
-cli._HANDLED_ERRORS = tuple(
-    v for v in vars(errors).values()
-    if isinstance(v, type) and issubclass(v, Exception))
+cli._HANDLED_ERRORS = (errors.MonosepError,)
 results = []
 for argv in json.load(sys.stdin):
     err = io.StringIO()

@@ -724,11 +724,8 @@ class TestDropout:
             ad.dropout(ad.Tensor(np.ones(3)), p, rng)
 
 
-# the make_op users outside autodiff, and conv_stage without taps (the
-# dense ablation stand-in), in the same form as PRIMITIVES
+# the make_op users outside autodiff, in the same form as PRIMITIVES
 FUSED = {
-    "conv_stage_dense": (lambda x, g, b, w, pb: ad.conv_stage(x, g, b, w, pb),
-                         [(9, 4), (4,), (4,), (3, 4), (3,)]),
     "rope": (attn.rope, [(5, 4)]),
     "local_attention": (
         lambda q, k, v, u: attn.local_attention(q, k, v, u, 3)[0],
@@ -826,16 +823,12 @@ class TestLiveness:
         # (out > 0) == (x > 0) for -0.0 and NaN too
         assert gx.tobytes() == (g * (x.data > 0)).tobytes()
 
-    @pytest.mark.parametrize("with_taps", [True, False])
-    def test_conv_stage_keeps_normalized_input_and_pre_activation(
-            self, with_taps):
+    def test_conv_stage_keeps_normalized_input_and_pre_activation(self):
         # of the frame-sized arrays, the closure keeps xhat (S, N_in), 1/sigma
-        # (S, 1) and, with taps, the pre-activation (S, N_out); never the
-        # norm output, the logistic or the silu output
+        # (S, 1) and the pre-activation (S, N_out); never the norm output,
+        # the logistic or the silu output
         rng = np.random.default_rng(5)
-        shapes = [(40, 6), (6,), (6,), (10, 6), (10,)]
-        if with_taps:
-            shapes.append((10, 5))
+        shapes = [(40, 6), (6,), (6,), (10, 6), (10,), (10, 5)]
         inputs = [ad.Tensor(rng.normal(size=s), requires_grad=True)
                   for s in shapes]
         with ad.Tape():
@@ -843,8 +836,7 @@ class TestLiveness:
         framed = sorted(obj.shape for obj in reachable(out._backward)
                         if isinstance(obj, np.ndarray) and obj.ndim == 2
                         and obj.shape[0] == 40)
-        assert framed == ([(40, 1), (40, 6), (40, 10)] if with_taps
-                          else [(40, 1), (40, 6)])
+        assert framed == [(40, 1), (40, 6), (40, 10)]
 
     def test_mul_inputs_kept_until_backward(self):
         x = ad.Tensor(np.linspace(-1.0, 1.0, 7), requires_grad=True)
@@ -1009,20 +1001,18 @@ class TestGradientCheck:
         # an extra digit; the shallow conv case above keeps the 1e-6 bar
         assert ad.gradient_check(f, store, h=1e-5) < 1e-5
 
-    @pytest.mark.parametrize("with_taps", [True, False])
-    def test_conv_stage(self, with_taps):
+    def test_conv_stage(self):
         rng = np.random.default_rng(24)
-        shapes = {"x": (7, 4), "g": (4,), "b": (4,), "w": (5, 4), "pb": (5,)}
-        if with_taps:
-            shapes["t"] = (5, 3)
+        shapes = {"x": (7, 4), "g": (4,), "b": (4,), "w": (5, 4), "pb": (5,),
+                  "t": (5, 3)}
         store = ad.ParamStore()
         for name, shape in shapes.items():
             store.add(name, rng.normal(size=shape))
         probe = ad.Tensor(rng.normal(size=(7, 5)))
 
         def f(p):
-            taps = p["t"] if with_taps else None
-            out = ad.conv_stage(p["x"], p["g"], p["b"], p["w"], p["pb"], taps)
+            out = ad.conv_stage(p["x"], p["g"], p["b"], p["w"], p["pb"],
+                                p["t"])
             return ad.sum_all(ad.mul(out, probe))
 
         assert ad.gradient_check(f, store, h=1e-5) < 1e-6

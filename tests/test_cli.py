@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monosep import cli
+from monosep import cli, train
 from monosep.audio import read_wav, write_wav
 from monosep.checkpoint import load_checkpoint
-from monosep.config import ModelConfig, TrainConfig, config_fields
+from monosep.config import ModelConfig, TrainConfig, config_fields, preset
 from monosep.errors import ConfigError
+from monosep.model import separate
 from monosep.synth import synth_dataset
 
 
@@ -142,6 +143,29 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out.splitlines()[-1]
         assert out.startswith("items=2 loss=") and "si_sdri=" in out
+
+    def test_eval_separates_each_item_once(self, tmp_path, capsys,
+                                           monkeypatch):
+        # the loss and the SI-SDR improvement come from one pass
+        cli.main(train_args(tmp_path))
+        calls = []
+
+        def counting(model, mixture, rng=None):
+            calls.append(rng)
+            return separate(model, mixture, rng)
+
+        monkeypatch.setattr(train, "separate", counting)
+        assert cli.main([
+            "eval", "--ckpt", str(tmp_path / "m.ckpt"),
+            "--set", "data_count=3", "--set", "data_samples=500",
+        ]) == 0
+        assert calls == [None] * 3
+
+    @pytest.mark.parametrize("name", ["S", "M", "L"])
+    def test_published_presets_fit(self, name):
+        # the bound leaves activations out: it refuses only what cannot fit
+        cli.check_fits(preset(name), np.float32, "data_count x data_samples",
+                       8, 4000)
 
     def test_ablate_writes_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "report.csv"

@@ -117,21 +117,6 @@ class TestDense:
         expected += p.proj_bias.data
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
-    def test_project_dispatch(self):
-        # calling either params flavour runs its own forward function
-        p_conv, _ = build(dropout_p=0.5)
-        store = ad.ParamStore()
-        p_dense = cm.init_conv_module(store, "d", 6, 12, None, 0.0,
-                                      np.random.default_rng(8))
-        x = ad.Tensor(np.random.default_rng(9).normal(size=(4, 6)))
-        np.testing.assert_array_equal(
-            p_conv(x, np.random.default_rng(3)).data,
-            cm.conv_module_forward(x, p_conv, np.random.default_rng(3)).data,
-        )
-        np.testing.assert_array_equal(
-            p_dense(x).data, cm.conv_module_forward(x, p_dense).data
-        )
-
 
 class TestGradients:
     def test_full_module(self):
@@ -179,6 +164,20 @@ class TestFusedStage:
     primitives."""
 
     @staticmethod
+    def compose(monkeypatch):
+        """Run every convolution module as ``composed_conv_module`` from now
+        on; returns the list of modules it has run, so that a test sees
+        whether the call sites reached it."""
+        ran = []
+
+        def composed(x, p, rng=None):
+            ran.append(p)
+            return composed_conv_module(x, p, rng)
+
+        monkeypatch.setattr(cm, "conv_module_forward", composed)
+        return ran
+
+    @staticmethod
     def step(cfg, dtype):
         """Loss and every parameter gradient of one taped step, as bytes."""
         model = build_model(cfg, seed=3, dtype=dtype)
@@ -207,8 +206,10 @@ class TestFusedStage:
     def test_loss_and_gradients_bitwise(self, monkeypatch, overrides, dtype):
         cfg = preset("tiny", **overrides)
         fused = self.step(cfg, dtype)
-        monkeypatch.setattr(cm, "conv_module_forward", composed_conv_module)
+        ran = self.compose(monkeypatch)
         assert self.step(cfg, dtype) == fused
+        # gate, value, shared attention and output module of each block
+        assert len(ran) == 4 * cfg.n_blocks
 
     def test_block_keeps_at_most_three_quarters(self, monkeypatch):
         # one S-width block's taped forward on 1000 frames (0.5 s of audio):
@@ -231,5 +232,6 @@ class TestFusedStage:
             return size
 
         fused = held()
-        monkeypatch.setattr(cm, "conv_module_forward", composed_conv_module)
+        ran = self.compose(monkeypatch)
         assert fused <= 0.75 * held()
+        assert len(ran) == 4

@@ -1,5 +1,6 @@
 """Seeded probe over every file the CLI reads: checkpoints, WAVs and config
-files. Each mutated file is run through ``cli.main`` in one subprocess that
+files, and over settings whose model or synthetic data cannot fit. Each
+mutated file or setting is run through ``cli.main`` in one subprocess that
 caps its own address space, and must end with exit 2 and a package error,
 or with exit 0 where the edit leaves a usable file (a changed
 ``dropout_p``, a byte flip inside the samples): never exit 1 or a raw
@@ -104,6 +105,14 @@ _CONFIG_LINES = [
 ]
 
 
+# settings whose parameters or synthetic data alone exceed the cap
+_OVERSIZED = [
+    ["train", "--set", "n_feat=100000"],
+    ["train", "--set", "data_samples=10000000000"],
+    ["gradcheck", "--samples", "10000000000"],
+]
+
+
 def _with_header(raw: bytes, header) -> bytes:
     blob = json.dumps(header).encode("utf-8")
     header_end = 16 + int.from_bytes(raw[8:16], "little")
@@ -203,6 +212,10 @@ def test_mutated_files_end_in_a_package_error(tmp_path, base_files,
                        "--set", "max_epochs=1", "--set", "data_count=2",
                        "--set", "data_samples=400",
                        "--out", str(tmp_path / "trained.ckpt")], (0, 2)))
+
+    for argv in _OVERSIZED:
+        cases.append((argv + ["--out", str(tmp_path / "big.ckpt")]
+                      if argv[0] == "train" else argv, (2,)))
 
     results = capped_cli([argv for argv, _ in cases])
     for (argv, codes), (code, err, _) in zip(cases, results):

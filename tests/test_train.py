@@ -385,7 +385,8 @@ class TestTrainLoop:
     def test_no_decay_and_zero_patience_accepted(self):
         cfg_mod.TrainConfig(lr_decay=1.0, patience=0).validate()
 
-    @pytest.mark.parametrize("score", ["dataset_loss", "dataset_si_sdri"])
+    @pytest.mark.parametrize("score", ["dataset_loss", "dataset_scores",
+                                       "dataset_si_sdri"])
     def test_empty_evaluation_set_rejected(self, score):
         model, _ = tiny_setup(seed=19)
         with pytest.raises(ConfigError, match="empty"):
