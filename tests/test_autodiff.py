@@ -9,6 +9,7 @@ import pytest
 
 from monosep import attention as attn
 from monosep import autodiff as ad
+from monosep import conv_module as cm
 from monosep.config import preset
 from monosep.losses import si_sdr
 from monosep.errors import ConfigError, DimensionError, TapeError
@@ -724,8 +725,13 @@ class TestDropout:
             ad.dropout(ad.Tensor(np.ones(3)), p, rng)
 
 
-# the make_op users outside autodiff, in the same form as PRIMITIVES
+# the make_op users outside autodiff, and a convolution module's dense
+# ablation stand-in (layer_norm then linear), in the same form as PRIMITIVES
 FUSED = {
+    "conv_module_dense": (
+        lambda x, g, b, w, pb: cm.conv_module_forward(
+            x, cm.ConvModuleParams(g, b, w, pb, None)),
+        [(9, 4), (4,), (4,), (3, 4), (3,)]),
     "rope": (attn.rope, [(5, 4)]),
     "local_attention": (
         lambda q, k, v, u: attn.local_attention(q, k, v, u, 3)[0],
