@@ -2,8 +2,9 @@
 
 Configuration comes from an optional flat ``key = value`` text file
 (``--config``) plus any number of ``--set key=value`` overrides. Keys are
-drawn from ModelConfig (preset, n_feat, ...), TrainConfig (lr, max_epochs,
-...), and the synthetic-data knobs data_seed / data_count / data_samples.
+the fields of ModelConfig (preset, n_feat, ...), TrainConfig (lr,
+max_epochs, ...) and DataConfig (data_seed, data_count, data_samples);
+``config.py`` types and bounds every value.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import math
 import resource
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,15 +21,14 @@ from . import autodiff as ad
 from .ablation import SUITES, run_ablation
 from .audio import read_wav, write_wav
 from .checkpoint import load_checkpoint, restore_model, save_checkpoint
-from .config import (ModelConfig, TrainConfig, PRESET_PARAM_TARGETS,
-                     coerce_value, config_fields, preset, preset_names)
-from .errors import ConfigError, MonosepError, WavFormatError
+from .config import (DataConfig, ModelConfig, TrainConfig,
+                     PRESET_PARAM_TARGETS, coerce_value, config_fields, preset,
+                     preset_names)
+from .errors import ConfigError, MonosepError, OutOfMemoryError, WavFormatError
 from .losses import pit_loss
 from .model import build_model, count_parameters, separate
 from .synth import synth_dataset
 from .train import dataset_scores, train
-
-_DATA_DEFAULTS = {"data_seed": 0, "data_count": 8, "data_samples": 4000}
 
 _HANDLED_ERRORS = (MonosepError, OSError)
 
@@ -63,33 +62,17 @@ def collect_pairs(args) -> dict[str, str]:
     return pairs
 
 
-def build_configs(pairs) -> tuple[ModelConfig, TrainConfig, dict[str, int]]:
-    model_keys = config_fields(ModelConfig)
-    train_keys = config_fields(TrainConfig)
-    preset_name = pairs.get("preset", "tiny")
-    overrides = {}
-    tcfg = TrainConfig()
-    data = dict(_DATA_DEFAULTS)
+def build_configs(pairs) -> tuple[ModelConfig, TrainConfig, DataConfig]:
+    values = {ModelConfig: {}, TrainConfig: {}, DataConfig: {}}
     for key, raw in pairs.items():
-        if key == "preset":
-            continue
-        if key in model_keys:
-            overrides[key] = coerce_value(ModelConfig, key, raw)
-        elif key in train_keys:
-            tcfg = replace(tcfg, **{key: coerce_value(TrainConfig, key, raw)})
-        elif key in _DATA_DEFAULTS:
-            try:
-                data[key] = int(raw)
-            except ValueError:
-                raise ConfigError(f"{key} expects int, got {raw!r}") from None
-        else:
+        cls = next((c for c in values if key in config_fields(c)), None)
+        if cls is None:
             raise ConfigError(f"unknown config key {key!r}")
-    for key in ("data_count", "data_samples"):
-        if data[key] < 1:
-            raise ConfigError(f"{key} must be >= 1, got {data[key]}")
-    if data["data_seed"] < 0:
-        raise ConfigError(f"data_seed must be >= 0, got {data['data_seed']}")
-    return preset(preset_name, **overrides), tcfg.validate(), data
+        values[cls][key] = coerce_value(cls, key, raw)
+    model = values[ModelConfig]
+    return (preset(model.pop("preset", "tiny"), **model),
+            TrainConfig(**values[TrainConfig]).validate(),
+            DataConfig(**values[DataConfig]).validate())
 
 
 def _memory_limits() -> list[tuple[str, int]]:
@@ -136,17 +119,16 @@ def check_fits(mcfg: ModelConfig, dtype, data_key: str, n_items: int,
                 f"({limit / 2**30:.1f} GiB)")
 
 
-def synth_data(mcfg: ModelConfig, data: dict[str, int]):
-    return synth_dataset(data["data_seed"], data["data_count"],
-                         mcfg.n_speakers, data["data_samples"],
-                         mcfg.sample_rate)
+def synth_data(mcfg: ModelConfig, data: DataConfig):
+    return synth_dataset(data.data_seed, data.data_count, mcfg.n_speakers,
+                         data.data_samples, mcfg.sample_rate)
 
 
 def cmd_train(args) -> int:
-    mcfg, tcfg, data_opts = build_configs(collect_pairs(args))
+    mcfg, tcfg, data_cfg = build_configs(collect_pairs(args))
     check_fits(mcfg, np.float32, "data_count x data_samples",
-               data_opts["data_count"], data_opts["data_samples"])
-    data = synth_data(mcfg, data_opts)
+               data_cfg.data_count, data_cfg.data_samples)
+    data = synth_data(mcfg, data_cfg)
     model = build_model(mcfg, seed=tcfg.seed)
     ckpt = train(model, tcfg, data, log=print)
     save_checkpoint(ckpt, args.out)
@@ -173,19 +155,19 @@ def cmd_separate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _, _, data_opts = build_configs(collect_pairs(args))
+    _, _, data_cfg = build_configs(collect_pairs(args))
     model = restore_model(load_checkpoint(args.ckpt))
-    data = synth_data(model.config, data_opts)
+    data = synth_data(model.config, data_cfg)
     loss, gain = dataset_scores(model, data)
     print(f"items={len(data)} loss={loss:.4f} si_sdri={gain:.4f}")
     return 0
 
 
 def cmd_ablate(args) -> int:
-    mcfg, tcfg, data_opts = build_configs(collect_pairs(args))
+    mcfg, tcfg, data_cfg = build_configs(collect_pairs(args))
     check_fits(mcfg, np.float32, "data_count x data_samples",
-               data_opts["data_count"], data_opts["data_samples"])
-    data = synth_data(mcfg, data_opts)
+               data_cfg.data_count, data_cfg.data_samples)
+    data = synth_data(mcfg, data_cfg)
     report = run_ablation(args.suite, mcfg, tcfg, budget=args.steps,
                           data=data, log=print)
     print(report.to_text())
@@ -201,10 +183,13 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError(
             f"tolerance must be positive and finite, got {args.tolerance}")
     mcfg, tcfg, _ = build_configs(collect_pairs(args))
-    check_fits(mcfg, np.float64, "--samples", 1, args.samples)
+    # the probe is not validated: synth_dataset names a bad --samples
+    probe = DataConfig(data_seed=tcfg.seed, data_count=1,
+                       data_samples=args.samples)
+    check_fits(mcfg, np.float64, "--samples", probe.data_count,
+               probe.data_samples)
     model = build_model(mcfg, seed=tcfg.seed, dtype=np.float64)
-    mixture, sources = synth_dataset(tcfg.seed, 1, mcfg.n_speakers,
-                                     args.samples, mcfg.sample_rate)[0]
+    mixture, sources = synth_data(mcfg, probe)[0]
 
     def loss_of(store):
         loss, _ = pit_loss(separate(model, mixture), sources)
@@ -286,7 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        try:
+            return args.run(args)
+        except MemoryError as exc:
+            # what check_fits leaves out (activations, kernel temporaries)
+            # can still exceed the memory a run is given
+            detail = str(exc) or "no size reported"
+            raise OutOfMemoryError(
+                f"{args.command}: out of memory: {detail}") from exc
     except _HANDLED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

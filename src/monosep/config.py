@@ -1,5 +1,5 @@
-"""Model and training configuration, with the three published presets plus
-a desk-scale "tiny" preset for tests."""
+"""Model, training and synthetic-data configuration, with the three
+published presets plus a desk-scale "tiny" preset for tests."""
 
 from __future__ import annotations
 
@@ -31,12 +31,12 @@ class ModelConfig:
 
     def validate(self) -> "ModelConfig":
         _check_types(self)
-        for name in ("n_blocks", "n_feat", "enc_kernel", "dw_kernel",
-                     "chunk_size", "attn_dim", "n_speakers", "sample_rate"):
+        _check_at_least(self, 1, "n_blocks", "n_feat", "enc_kernel",
+                        "dw_kernel", "chunk_size", "attn_dim", "n_speakers",
+                        "sample_rate")
+        for name in ("n_feat", "enc_kernel", "attn_dim"):
             value = getattr(self, name)
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
-            if name in ("n_feat", "enc_kernel", "attn_dim") and value % 2:
+            if value % 2:
                 raise ConfigError(f"{name} must be even, got {value}")
         if self.dw_kernel % 2 == 0:
             raise ConfigError(f"dw_kernel must be odd, got {self.dw_kernel}")
@@ -103,20 +103,27 @@ class TrainConfig:
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(
                     f"{name} must be positive and finite, got {value}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.hold_epochs < 0:
-            raise ConfigError(
-                f"hold_epochs must be >= 0, got {self.hold_epochs}")
-        if self.max_steps < 0:
-            raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
-        if self.seed < 0:  # numpy seeds only take non-negative integers
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        _check_at_least(self, 1, "max_epochs")
+        # numpy seeds only take non-negative integers
+        _check_at_least(self, 0, "hold_epochs", "max_steps", "seed",
+                        "patience")
         if not 0.0 < self.lr_decay <= 1.0:
             # a factor outside (0, 1] would zero, grow or flip the rate
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
-        if self.patience < 0:
-            raise ConfigError(f"patience must be >= 0, got {self.patience}")
+        return self
+
+
+@dataclass
+class DataConfig:
+    """The synthetic mixtures a run trains or scores on."""
+    data_seed: int = 0
+    data_count: int = 8  # mixtures
+    data_samples: int = 4000  # samples per mixture
+
+    def validate(self) -> "DataConfig":
+        _check_types(self)
+        _check_at_least(self, 1, "data_count", "data_samples")
+        _check_at_least(self, 0, "data_seed")
         return self
 
 
@@ -140,6 +147,13 @@ def _check_types(cfg) -> None:
                 kind is not bool and isinstance(value, bool)):
             raise ConfigError(
                 f"{name} expects {kind.__name__}, got {value!r}")
+
+
+def _check_at_least(cfg, minimum: int, *names: str) -> None:
+    for name in names:
+        value = getattr(cfg, name)
+        if value < minimum:
+            raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
 def coerce_value(cls, key: str, raw: str):

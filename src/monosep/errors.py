@@ -37,3 +37,8 @@ class CheckpointError(MonosepError, ValueError):
 
 class TapeError(MonosepError, RuntimeError):
     """A tape was used after backward consumed it."""
+
+
+class OutOfMemoryError(MonosepError, MemoryError):
+    """A command ran out of memory; message names the command and the
+    allocation that failed."""

@@ -107,14 +107,22 @@ def split_dataset(data):
     return list(data[:-n_val]), list(data[-n_val:])
 
 
-def dataset_loss(model, items) -> float:
-    """Mean PIT loss over ``items`` in evaluation mode (no dropout)."""
+def _evaluate(model, items):
+    """Each item with its evaluation-mode (no dropout) estimates, PIT loss
+    and best speaker permutation; an empty ``items`` is refused."""
     if not items:
         raise ConfigError("evaluation data is empty")
-    total = 0.0
     for mixture, sources in items:
-        loss, _ = pit_loss(separate(model, mixture), sources)
-        total += loss.item()
+        ests = separate(model, mixture)
+        loss, perm = pit_loss(ests, sources)
+        yield mixture, sources, ests, loss.item(), perm
+
+
+def dataset_loss(model, items) -> float:
+    """Mean PIT loss over ``items`` in evaluation mode."""
+    total = 0.0
+    for _, _, _, loss, _ in _evaluate(model, items):
+        total += loss
     return total / len(items)
 
 
@@ -122,14 +130,10 @@ def dataset_scores(model, items) -> tuple[float, float]:
     """Mean PIT loss and mean SI-SDR improvement over ``items``, from one
     evaluation-mode pass: the improvement is separated quality under the
     best speaker permutation, minus the unprocessed-mixture baseline."""
-    if not items:
-        raise ConfigError("evaluation data is empty")
     loss_total = gain_total = 0.0
     pairs = 0
-    for mixture, sources in items:
-        ests = separate(model, mixture)
-        loss, perm = pit_loss(ests, sources)
-        loss_total += loss.item()
+    for mixture, sources, ests, loss, perm in _evaluate(model, items):
+        loss_total += loss
         for ref_index, est_index in enumerate(perm):
             gain = si_sdri(ests[est_index], mixture, sources[ref_index])
             gain_total += gain.item()

@@ -9,7 +9,8 @@ import pytest
 from monosep import cli, train
 from monosep.audio import read_wav, write_wav
 from monosep.checkpoint import load_checkpoint
-from monosep.config import ModelConfig, TrainConfig, config_fields, preset
+from monosep.config import (DataConfig, ModelConfig, TrainConfig,
+                            config_fields, preset)
 from monosep.errors import ConfigError
 from monosep.model import separate
 from monosep.synth import synth_dataset
@@ -55,7 +56,21 @@ class TestConfigParsing:
         })
         assert mcfg.n_speakers == 3 and mcfg.dense_uv is True
         assert tcfg.lr == 1e-3 and tcfg.max_epochs == 7
-        assert data["data_samples"] == 1234
+        assert data.data_samples == 1234
+
+    def test_every_key_round_trips(self):
+        # each field, set to its default's string form, comes back as that
+        # default, in the class it belongs to
+        classes = (ModelConfig, TrainConfig, DataConfig)
+        defaults = {key: getattr(cls(), key) for cls in classes
+                    for key in config_fields(cls)}
+        pairs = {key: str(value).lower() if isinstance(value, bool)
+                 else str(value) for key, value in defaults.items()}
+        for cls, built in zip(classes, cli.build_configs(pairs)):
+            assert type(built) is cls
+            for key in config_fields(cls):
+                assert getattr(built, key) == defaults[key], key
+                assert type(getattr(built, key)) is type(defaults[key]), key
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -72,10 +87,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="data_seed"):
             cli.build_configs({"data_seed": "-1"})
 
+    def test_bool_data_count_rejected(self):
+        # a bool is an int to isinstance, so the type check turns it away
+        with pytest.raises(ConfigError,
+                           match="^data_count expects int, got True$"):
+            DataConfig(data_count=True).validate()
+
     def test_defaults_without_file(self):
         mcfg, tcfg, data = cli.build_configs({})
         assert mcfg == ModelConfig(preset="tiny")
-        assert data == cli._DATA_DEFAULTS
+        assert data == DataConfig()
 
 
 def train_args(tmp_path, out_name="m.ckpt"):
@@ -89,7 +110,7 @@ def train_args(tmp_path, out_name="m.ckpt"):
 
 def test_readme_lists_every_config_key():
     # the sentence "Keys are the fields of `ModelConfig` (...), the fields
-    # of `TrainConfig` (...), and the data knobs (...)."
+    # of `TrainConfig` (...), and the fields of `DataConfig` (...)."
     text = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
     sentence = " ".join(re.search(r"Keys are the fields of .*?\)\.",
                                   text, re.S).group(0).split())
@@ -97,7 +118,7 @@ def test_readme_lists_every_config_key():
              for group in re.findall(r"\(([^()]*)\)", sentence)]
     assert lists == [list(config_fields(ModelConfig)),
                      list(config_fields(TrainConfig)),
-                     list(cli._DATA_DEFAULTS)]
+                     list(config_fields(DataConfig))]
 
 
 class TestCommands:
@@ -209,6 +230,16 @@ class TestCommands:
         code = cli.main(["train", "--set", "nope=1"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_memory_error_exits_2(self, capsys, monkeypatch):
+        # Python's own allocator raises MemoryError without a message
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_paramcount", exhausted)
+        assert cli.main(["paramcount"]) == 2
+        assert capsys.readouterr().err == (
+            "error: paramcount: out of memory: no size reported\n")
 
     def test_train_checkpoint_is_single_precision(self, tmp_path, capsys):
         cli.main(train_args(tmp_path))

@@ -1,10 +1,10 @@
 """Seeded probe over every file the CLI reads: checkpoints, WAVs and config
-files, and over settings whose model or synthetic data cannot fit. Each
-mutated file or setting is run through ``cli.main`` in one subprocess that
-caps its own address space, and must end with exit 2 and a package error,
-or with exit 0 where the edit leaves a usable file (a changed
-``dropout_p``, a byte flip inside the samples): never exit 1 or a raw
-exception."""
+files, and over settings whose model, synthetic data or activations cannot
+fit. Each mutated file or setting is run through ``cli.main`` in one
+subprocess that caps its own address space, and must end with exit 2 and a
+package error, or with exit 0 where the edit leaves a usable file (a
+changed ``dropout_p``, a byte flip inside the samples): never exit 1 or a
+raw exception."""
 
 import json
 
@@ -112,6 +112,15 @@ _OVERSIZED = [
     ["gradcheck", "--samples", "10000000000"],
 ]
 
+# settings that fit that bound but whose activations or kernel temporaries
+# do not: each command runs until an allocation fails
+_OUT_OF_MEMORY = [
+    ["train", "--set", "dw_kernel=100001", "--set", "max_epochs=1",
+     "--set", "data_count=2", "--set", "data_samples=400"],
+    ["train", "--set", "preset=S", "--set", "data_count=2",
+     "--set", "data_samples=64000", "--set", "max_epochs=1"],
+]
+
 
 def _with_header(raw: bytes, header) -> bytes:
     blob = json.dumps(header).encode("utf-8")
@@ -213,7 +222,7 @@ def test_mutated_files_end_in_a_package_error(tmp_path, base_files,
                        "--set", "data_samples=400",
                        "--out", str(tmp_path / "trained.ckpt")], (0, 2)))
 
-    for argv in _OVERSIZED:
+    for argv in _OVERSIZED + _OUT_OF_MEMORY:
         cases.append((argv + ["--out", str(tmp_path / "big.ckpt")]
                       if argv[0] == "train" else argv, (2,)))
 
@@ -222,3 +231,5 @@ def test_mutated_files_end_in_a_package_error(tmp_path, base_files,
         assert code in codes, (argv, err)
         if code == 2:
             assert err.startswith("error: "), (argv, err)
+    for code, err, _ in results[-len(_OUT_OF_MEMORY):]:
+        assert err.startswith("error: train: out of memory: "), err
