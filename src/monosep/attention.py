@@ -1,8 +1,10 @@
 """Joint single-head attention: chunked quadratic local + linearized global.
 
 Both branches read low-dimensional queries/keys derived from one shared
-representation (a convolution module output), per-branch elementwise scale
-and offset, and rotary position embedding. The local branch scores
+representation (the output of the block's shared convolution module, which
+the block computes together with its gate and value modules and passes
+in), per-branch elementwise scale and offset, and rotary position
+embedding. The local branch scores
 non-overlapping chunks of size P with squared-ReLU attention; the global
 branch is a bilinear product evaluated key-side first so no frames-by-frames
 matrix is ever formed. The joint output is the elementwise sum of the two.
@@ -17,8 +19,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import autodiff as ad
-# called through the module, so a rebound conv_module_forward is seen
-from . import conv_module as cm
 from .conv_module import ConvModuleParams, init_conv_module
 from .errors import ConfigError
 
@@ -153,10 +153,11 @@ def local_attention(q, k, values, gates, chunk_size: int):
 
     One primitive with two outputs, (attended values, attended gates). The
     whole chunks are one batched GEMM, a ragged last chunk its own, so no
-    zero-padded copy of q, k, values or gates is made; only the chunks'
-    positive scores outlive the forward pass. The backward closure runs
-    once, on both outputs' gradients, and takes an output without one as
-    zero.
+    zero-padded copy of q, k, values or gates is made. No score outlives
+    the forward pass: backward builds the chunks' positive scores again
+    from the q and k it keeps for their gradients, with the forward's own
+    ``_chunk_scores``. The backward closure runs once, on both outputs'
+    gradients, and takes an output without one as zero.
     """
     if chunk_size < 1:
         raise ConfigError(f"chunk size must be >= 1, got {chunk_size}")
@@ -182,15 +183,20 @@ def local_attention(q, k, values, gates, chunk_size: int):
         return out
 
     gamma = 1.0 / chunk_size
-    pos = [_chunk_scores(chunks(q.data, *part), chunks(k.data, *part), gamma)
-           for part in parts]
-    weights = [p * p for p in pos]
-    out_v, out_g = attend(weights, values.data), attend(weights, gates.data)
-    inputs = (q, k, values, gates)
-    rq, rk, rv, rg = (t.requires_grad for t in inputs)
     qv, kv, vv, gv = q.data, k.data, values.data, gates.data
 
+    def scores():
+        return [_chunk_scores(chunks(qv, *part), chunks(kv, *part), gamma)
+                for part in parts]
+
+    weights = [p * p for p in scores()]
+    out_v, out_g = attend(weights, vv), attend(weights, gv)
+    del weights
+    inputs = (q, k, values, gates)
+    rq, rk, rv, rg = (t.requires_grad for t in inputs)
+
     def backward(grads):
+        pos = scores()
         weights = [p * p for p in pos]
         g_values, g_gates = (
             attend(weights, g, transpose=True) if g is not None and r else None
@@ -213,18 +219,17 @@ def local_attention(q, k, values, gates, chunk_size: int):
     return ad.make_op((out_v, out_g), inputs, backward)
 
 
-def joint_attention(
-    x, values, gates, p: AttentionParams,
-    rng: np.random.Generator | None = None,
-):
-    """Block input (S, N) + value/gate sequences (S, G) -> attended pair.
+def joint_attention(shared, values, gates, p: AttentionParams):
+    """Shared representation (S, D) + value/gate sequences (S, G) ->
+    attended pair.
 
+    ``shared`` is the output of the block's ``p.shared`` convolution
+    module, which the block runs together with its gate and value modules.
     Returns (attended values, attended gates). Modes (``p.mode``): "joint"
     sums the local and global branch outputs elementwise; the *_only modes
     return a single branch for ablations.
     """
-    q_loc, k_loc, q_glob, k_glob = derive_qk(
-        cm.conv_module_forward(x, p.shared, rng), p)
+    q_loc, k_loc, q_glob, k_glob = derive_qk(shared, p)
     if p.mode == "local_only":
         return local_attention(q_loc, k_loc, values, gates, p.chunk_size)
     if p.mode == "global_only":

@@ -60,13 +60,21 @@ poisons its whole frame block (0 * inf is NaN), not just its K neighbours.
 
 ``conv_stage`` is a convolution module's layer_norm -> linear -> silu ->
 depthwise_conv1d, with the skip folded into the centre tap, as one
-primitive. It runs the private kernels those primitives run
-(``_normalize``, ``_affine``, ``_matmul_grads``, ``_silu_grad``,
-``_depthwise_pack``, ``_depthwise_grads``), so its output and gradients
-are bitwise theirs, but keeps only the normalized input, its 1/sigma and
-the pre-activation for backward, which rebuilds the norm output, the
-logistic and the silu output from them (selective recomputation, after
-Korthikanti et al. 2022): no GEMM runs twice.
+primitive; it takes several such heads on one input (a head without taps
+is the norm and the projection alone) and normalizes that input once. It
+runs the private kernels those primitives run (``_normalize``,
+``_affine``, ``_matmul_grads``, ``_silu_grad``, ``_depthwise_pack``,
+``_depthwise_grads``), so its outputs and gradients are bitwise theirs,
+but keeps only the one normalized input, its 1/sigma and each head's
+pre-activation for backward, which rebuilds the norm outputs, the logistic
+and the silu output from them (selective recomputation, after Korthikanti
+et al. 2022): no GEMM runs twice.
+
+``recompute(fn, *inputs)`` records ``fn`` as one node that keeps only its
+inputs; backward runs ``fn`` again under a nested ``Tape`` and
+backpropagates through it with the loop ``Tape.backward`` runs (activation
+recomputation, after Chen et al. 2016), so that elementwise work whose
+inputs the tape keeps anyway costs no memory until backward.
 
 Reductions avoid numpy's axis sums, which cost several times a BLAS call
 at (frames, features) shapes: a plain sum over frames or features (bias
@@ -196,21 +204,27 @@ class Tape:
         if not np.isfinite(root.data):
             raise NumericalError(f"backward root is non-finite: {root.data}")
         self._consumed = True
-        _accum(root if root._node is None else root._node,
-               np.ones((), dtype=root.data.dtype))
-        nodes = self._nodes
-        while nodes:
-            node = nodes.pop()
-            if node.grad is not None and node.backward is not None:
-                grads = node.backward(node.grad)
-                if len(grads) != len(node.targets):
-                    raise TapeError(f"backward returned {len(grads)} "
-                                    f"gradients for {len(node.targets)} inputs")
-                for target, g in zip(node.targets, grads):
-                    if target is not None and g is not None:
-                        _accum(target, g)
-                grads = g = None  # free them now, not at the next node
-            node.grad = node.backward = node.targets = None
+        _backprop(self._nodes, root, np.ones((), dtype=root.data.dtype))
+
+
+def _backprop(nodes: list[_Node], out: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``out``'s gradient slot, then pop ``nodes`` (a tape's,
+    in execution order) and run each closure that a gradient reached,
+    adding what it returns into its inputs' destinations. The loop of
+    ``Tape.backward`` and of ``recompute``'s nested tape."""
+    _accum(out if out._node is None else out._node, g)
+    while nodes:
+        node = nodes.pop()
+        if node.grad is not None and node.backward is not None:
+            grads = node.backward(node.grad)
+            if len(grads) != len(node.targets):
+                raise TapeError(f"backward returned {len(grads)} "
+                                f"gradients for {len(node.targets)} inputs")
+            for target, g in zip(node.targets, grads):
+                if target is not None and g is not None:
+                    _accum(target, g)
+            grads = g = None  # free them now, not at the next node
+        node.grad = node.backward = node.targets = None
 
 
 def as_tensor(x) -> Tensor:
@@ -242,6 +256,26 @@ def _op(data, inputs: Sequence[Tensor], backward: _Backward) -> Tensor:
         out._node = _Node(backward, tuple(map(_grad_target, inputs)))
         _active_tape.get()._nodes.append(out._node)
     return out
+
+
+def _op_outputs(data: tuple[np.ndarray, ...], inputs: Sequence[Tensor],
+                backward: Callable) -> tuple[Tensor, ...]:
+    """``_op`` for several outputs: one node each, and ``backward`` runs
+    once, on the tuple of the outputs' gradients (None for an output no
+    gradient reached)."""
+    nodes = []
+
+    def backward_once(_g):
+        # the outputs' nodes sit next to each other on the tape, so every
+        # output's gradient is complete at the first of them the tape runs
+        grads = tuple(node.grad for node in nodes)
+        for node in nodes:
+            node.backward = None  # the tape skips the others
+        return backward(grads)
+
+    outputs = tuple(_op(d, inputs, backward_once) for d in data)
+    nodes += [out._node for out in outputs]
+    return outputs
 
 
 def _records(inputs: Sequence[Tensor]) -> bool:
@@ -988,46 +1022,65 @@ def linear(x, weight, bias) -> Tensor:
     return add(y, bias)
 
 
-def conv_stage(x, gain, bias, weight, proj_bias, taps) -> Tensor:
-    """A convolution module's stage as one primitive: ``layer_norm(x, gain,
-    bias)``, then ``linear(., weight, proj_bias)``, then ``silu`` and a
-    depthwise convolution with ``taps`` (N_out, K) and a skip around it.
-    x (S, N_in) -> (S, N_out).
+def _check_head(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                weight: np.ndarray, proj_bias: np.ndarray,
+                taps: np.ndarray | None) -> None:
+    """One ``conv_stage`` head's shapes against its input x (S, N_in)."""
+    _check_norm("conv_stage", x, gain, bias)
+    if (weight.ndim != 2 or weight.shape[1] != x.shape[1]
+            or proj_bias.shape != weight.shape[:1]):
+        raise DimensionError(
+            f"conv_stage projection must be weight (N_out, {x.shape[1]}) "
+            f"and bias (N_out,); got {weight.shape} and {proj_bias.shape}")
+    if taps is not None:
+        _check_taps("conv_stage", weight.shape[0], taps)
 
-    The skip is folded into the centre tap: y0 + depthwise(y0, taps) is
-    computed as depthwise(y0, taps + e_centre), one convolution and no extra
-    (frames, channels) sum. ``taps`` are passed as stored (without the
-    skip), so checkpoints are unchanged; outputs match the unfolded sum
-    within a relative 1e-13 (float64) or 1e-5 (float32) per frame.
+
+def conv_stage(x, *heads) -> Tensor | tuple[Tensor, ...]:
+    """Convolution modules that read one input, as one primitive. Each head
+    is five arguments, ``gain, bias, weight, proj_bias, taps``: the stage
+    ``layer_norm(x, gain, bias)``, then ``linear(., weight, proj_bias)``,
+    then ``silu`` and a depthwise convolution with ``taps`` (N_out, K) and a
+    skip around it. ``taps=None`` is the dense stand-in, the norm and the
+    projection alone. x (S, N_in) -> (S, N_out) per head: one output
+    tensor for one head, a tuple of them for several.
+
+    The normalization is shared: x is normalized once, and every head's
+    norm output is its own affine map of that one x-hat. The skip is folded
+    into the centre tap: y0 + depthwise(y0, taps) is computed as
+    depthwise(y0, taps + e_centre), one convolution and no extra (frames,
+    channels) sum. ``taps`` are passed as stored (without the skip), so
+    checkpoints are unchanged; outputs match the unfolded sum within a
+    relative 1e-13 (float64) or 1e-5 (float32) per frame.
 
     It makes the folded taps first, as ``add(taps, e_centre)`` would, then
-    runs the kernels of those primitives, so its output and gradients are
-    bitwise theirs. It keeps less for backward: the normalized input with
-    its 1/sigma and the projection output (the pre-activation). Backward
-    rebuilds the norm output for the weight gradient, and the logistic and
-    the silu output for the silu and taps gradients, with the forward's own
-    expressions. Unrecorded, the stage frees each intermediate where the
-    separate primitives would, the pre-activation before the depthwise
-    packing.
+    runs the kernels of those primitives, so its outputs and gradients are
+    bitwise theirs. It keeps less for backward: one x-hat with its 1/sigma
+    for all heads, and each convolving head's projection output (the
+    pre-activation). Backward rebuilds each head's norm output for its
+    weight gradient, and the logistic and the silu output for the silu and
+    taps gradients, with the forward's own expressions; each head runs its
+    own ``_normalize_grads``. The op returns one x-gradient per head, the
+    last head's first, so that x's slot adds them in the order separately
+    recorded stages would. Unrecorded, the stage frees each intermediate
+    where the separate primitives would, x-hat after the last head's norm
+    output and a pre-activation before its depthwise packing.
     """
-    inputs = tuple(as_tensor(t)
-                   for t in (x, gain, bias, weight, proj_bias, taps))
-    x, gain, bias, weight, proj_bias, taps = inputs
-    _check_norm("conv_stage", x.data, gain.data, bias.data)
-    wv = weight.data
-    if (wv.ndim != 2 or wv.shape[1] != x.data.shape[1]
-            or proj_bias.data.shape != wv.shape[:1]):
+    if not heads or len(heads) % 5:
         raise DimensionError(
-            f"conv_stage projection must be weight (N_out, "
-            f"{x.data.shape[1]}) and bias (N_out,); got {wv.shape} and "
-            f"{proj_bias.data.shape}")
-    _check_taps("conv_stage", wv.shape[0], taps.data)
-    centre = np.zeros(taps.data.shape[1], dtype=taps.data.dtype)
-    centre[len(centre) // 2] = 1.0
-    tv = taps.data + centre
+            f"conv_stage takes x and five arguments per head (gain, bias, "
+            f"weight, proj_bias, taps), got {len(heads)} after x")
+    x = as_tensor(x)
+    params = []  # per head: gain, bias, weight, proj_bias and any taps
+    for i in range(0, len(heads), 5):
+        *head, taps = (None if t is None else as_tensor(t)
+                       for t in heads[i : i + 5])
+        _check_head(x.data, *(t.data for t in head),
+                    None if taps is None else taps.data)
+        params.append(head if taps is None else head + [taps])
+    inputs = (x,) * len(params) + tuple(t for head in params for t in head)
     record = _records(inputs)
-    rx, rg, rb, rw, rpb, rt = (t.requires_grad for t in inputs)
-    gv, bv = gain.data, bias.data
+    rx = x.requires_grad
 
     # arrays are made and freed in the order the separate primitives make
     # and free them: freeing the silu output before the depthwise GEMM, or
@@ -1035,38 +1088,73 @@ def conv_stage(x, gain, bias, weight, proj_bias, taps) -> Tensor:
     # trim the heap and fault it back (on glibc 2.36, about 80k minor
     # faults per S separate of 2 s of audio, against about 12k)
     xhat, inv_std = _normalize(x.data, _NORM_EPS)
-    norm_out = _affine(xhat, gv, bv)
-    if not record:  # the closure below is dropped unrun: free as we go
-        xhat = inv_std = None
-    proj = norm_out @ wv.T
-    pre = proj + proj_bias.data
-    del norm_out, proj
-    s = _logistic(pre)
-    act = pre * s  # the silu output
-    del s
-    dtype = np.result_type(act, tv)
-    if not record:
-        pre = None
-    out = _depthwise_gemm(_depthwise_pack(act, tv.shape[1], dtype), tv,
-                          len(act))
+    outs, kept = [], []
+    for i, (gain, bias, weight, proj_bias, *taps) in enumerate(params):
+        gv, bv, wv = gain.data, bias.data, weight.data
+        tv = dtype = None
+        if taps:
+            centre = np.zeros(taps[0].data.shape[1], dtype=taps[0].data.dtype)
+            centre[len(centre) // 2] = 1.0
+            tv = taps[0].data + centre
+        norm_out = _affine(xhat, gv, bv)
+        if not record and i == len(params) - 1:
+            xhat = inv_std = None  # the closure below is dropped unrun
+        proj = norm_out @ wv.T
+        pre = proj + proj_bias.data
+        del norm_out, proj
+        if tv is None:
+            out = pre
+        else:
+            s = _logistic(pre)
+            act = pre * s  # the silu output
+            del s
+            dtype = np.result_type(act, tv)
+            if not record:
+                pre = None
+            out = _depthwise_gemm(_depthwise_pack(act, tv.shape[1], dtype),
+                                  tv, len(act))
+            del act
+        outs.append(out)
+        kept.append((gv, bv, wv, tv, dtype, pre if tv is not None else None,
+                     [t.requires_grad for t in (gain, bias, weight,
+                                                proj_bias, *taps)]))
 
-    def backward(g):
-        s = _logistic(pre)
-        g, gt = _depthwise_grads(g, pre * s if rt else None, tv, dtype,
-                                 rx or rg or rb or rw or rpb)
-        if g is None:
-            return (None,) * 5 + (gt,)
-        g = _silu_grad(g, pre, s)
-        del s
+    def head_grads(g, gv, bv, wv, tv, dtype, pre, needs):
+        """One head's (x, gain, bias, weight, proj_bias[, taps]) gradients
+        from its output's gradient g."""
+        rg, rb, rw, rpb, *rt = needs
+        if tv is not None:
+            s = _logistic(pre)
+            g, gt = _depthwise_grads(g, pre * s if rt[0] else None, tv,
+                                     dtype, rx or rg or rb or rw or rpb)
+            if g is None:
+                return (None,) * 5 + (gt,)
+            g = _silu_grad(g, pre, s)
+            del s
         norm_out = _affine(xhat, gv, bv) if rw else None
         g_norm, g_wt = _matmul_grads(g, norm_out,
                                      wv.T if rx or rg or rb else None)
         del norm_out
         return (*_normalize_grads(g_norm, xhat, inv_std, gv, rx, rg, rb),
                 None if g_wt is None else g_wt.T,
-                _sum_rows(g) if rpb else None, gt)
+                _sum_rows(g) if rpb else None,
+                *([] if tv is None else [gt]))
 
-    return _op(out, inputs, backward)
+    def backward(grads):
+        gx, rest = [], []
+        for g, head in zip(grads, kept):
+            if g is None:
+                gx.append(None)
+                rest += [None] * len(head[-1])
+            else:
+                first, *more = head_grads(g, *head)
+                gx.append(first)
+                rest += more
+        return (*gx[::-1], *rest)
+
+    if len(outs) == 1:
+        return _op(outs[0], inputs, lambda g: backward((g,)))
+    return _op_outputs(tuple(outs), inputs, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -1091,19 +1179,44 @@ def make_op(data: np.ndarray | tuple[np.ndarray, ...], inputs: Sequence[Tensor],
     """
     if not isinstance(data, tuple):
         return _op(data, inputs, backward)
-    nodes = []
+    return _op_outputs(data, inputs, backward)
 
-    def backward_once(_g):
-        # the outputs' nodes sit next to each other on the tape, so every
-        # output's gradient is complete at the first of them the tape runs
-        grads = tuple(node.grad for node in nodes)
-        for node in nodes:
-            node.backward = None  # the tape skips the others
-        return backward(grads)
 
-    outputs = tuple(_op(d, inputs, backward_once) for d in data)
-    nodes += [out._node for out in outputs]
-    return outputs
+# ---------------------------------------------------------------------------
+# recomputation (used by the block's gating)
+# ---------------------------------------------------------------------------
+
+
+def recompute(fn: Callable[..., Tensor], *inputs) -> Tensor:
+    """``fn(*inputs)`` recorded as one node that keeps only the inputs'
+    arrays (activation recomputation, after Chen et al. 2016).
+
+    The forward runs ``fn`` with no tape, so each of its intermediates is
+    freed as soon as ``fn`` drops it. Backward runs ``fn`` again on the
+    kept arrays under a nested ``Tape``, seeds its output with the incoming
+    gradient and backpropagates through the nested tape into the inputs,
+    so the gradients are bitwise those of ``fn`` recorded directly. ``fn``
+    must be a function of its inputs alone: it draws no random numbers and
+    reads no parameter, whose gradient the nested tape would not pass on.
+    """
+    inputs = tuple(as_tensor(t) for t in inputs)
+    token = _active_tape.set(None)
+    try:
+        out = fn(*inputs).data
+    finally:
+        _active_tape.reset(token)
+    arrays = tuple(t.data for t in inputs)
+    needs = tuple(t.requires_grad for t in inputs)
+
+    def backward(g):
+        leaves = tuple(Tensor(a, requires_grad=r)
+                       for a, r in zip(arrays, needs))
+        with Tape() as tape:
+            again = fn(*leaves)
+        _backprop(tape._nodes, again, g)
+        return tuple(t.grad for t in leaves)
+
+    return _op(out, inputs, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,28 @@
 triple elementwise gating around a residual connection.
 
 The block maps (S, N) to (S, N). Two convolution modules expand the input
-to gate and value sequences of width 2N, joint attention produces their
-attended counterparts from low-dimensional queries/keys, and the gated
-product is projected back to N and added to the input.
+to gate and value sequences of width 2N and a third maps it to the shared
+attention representation of width D; the three read the same input, so
+they run as one ``ad.conv_stage`` that normalizes it once. Joint attention
+produces the attended gate and value sequences from low-dimensional
+queries/keys derived from the shared representation, and the gated product
+is projected back to N and added to the input.
+
+Under a tape the gating runs through ``ad.recompute``: its products and
+activation are made again in backward from the four sequences they read,
+which the attention's closures keep anyway, rather than kept from the
+forward pass. Without a tape the block drops the four sequences once the
+gating has read them, before the output projection runs.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-# called through the module, so a rebound conv_module_forward is seen
 from . import conv_module as cm
 from .attention import AttentionParams, init_attention, joint_attention
 from .config import ModelConfig
@@ -50,16 +59,27 @@ def init_block(
     )
 
 
+def _triple_gate(phi: str, gate_seq, value_seq, value_attn, gate_attn):
+    """phi(gate * attended value) * (attended gate * value)."""
+    gated = ad.mul(gate_attn, value_seq)
+    return ad.mul(ad.activation(phi, ad.mul(gate_seq, value_attn)), gated)
+
+
 def block_forward(
     x, p: BlockParams, rng: np.random.Generator | None = None,
 ) -> ad.Tensor:
     x = ad.as_tensor(x)
-    gate_seq = cm.conv_module_forward(x, p.to_gate, rng)
-    value_seq = cm.conv_module_forward(x, p.to_value, rng)
-    value_attn, gate_attn = joint_attention(x, value_seq, gate_seq, p.attn, rng)
-    gated = ad.mul(gate_attn, value_seq)
-    if not p.single_gate:
-        gated = ad.mul(
-            ad.activation(p.gate_phi, ad.mul(gate_seq, value_attn)), gated
-        )
+    gate_seq, value_seq, shared = cm.conv_modules_forward(
+        x, (p.to_gate, p.to_value, p.attn.shared), rng)
+    value_attn, gate_attn = joint_attention(shared, value_seq, gate_seq,
+                                            p.attn)
+    del shared
+    if p.single_gate:
+        gated = ad.mul(gate_attn, value_seq)
+    else:
+        gated = ad.recompute(functools.partial(_triple_gate, p.gate_phi),
+                             gate_seq, value_seq, value_attn, gate_attn)
+    # nothing later reads the four sequences: without a tape they are freed
+    # here, before the output projection runs
+    del gate_seq, value_seq, value_attn, gate_attn
     return ad.add(x, cm.conv_module_forward(gated, p.out_proj, rng))

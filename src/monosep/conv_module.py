@@ -1,21 +1,23 @@
 """Convolution module: norm -> expanding linear -> SiLU -> depthwise + skip.
 
 The stage runs as one tape primitive, ``ad.conv_stage``, which folds the
-skip into the depthwise centre tap, with dropout after it. Under a tape a
-module keeps the normalized input with its 1/sigma, the pre-activation and
-the bool dropout mask; backward rebuilds the norm output, the logistic and
-the silu output from them, so losses and gradients are bitwise those of
-the separate primitives. Without a tape each intermediate is freed where
-the separate primitives freed it.
+skip into the depthwise centre tap, with dropout after it. Modules that
+read the same input (a block's gate, value and shared attention modules)
+run as one ``ad.conv_stage`` with one head each, through
+``conv_modules_forward``: the input is normalized once, and under a tape
+the stage keeps that one normalized input with its 1/sigma, each head's
+pre-activation and each module's bool dropout mask. Backward rebuilds the
+norm outputs, the logistic and the silu output from them, so losses and
+gradients are bitwise those of the separate primitives. Without a tape each
+intermediate is freed where the separate primitives freed it.
 
 Used in three widths inside each block (feature-to-gate/value at 2N, the
 shared attention representation at D, and the output projection back to N).
 Ablation runs build the module without its depthwise stage
-(``dw_kernel=None``): the dense stand-in, ``ad.layer_norm`` then
-``ad.linear`` under the same parameter names, with no activation or
-dropout. ``conv_module_forward`` runs either kind. ``linear_params``
-declares the weight and bias of every dense projection in the model, here
-and in the mask head.
+(``dw_kernel=None``): the dense stand-in, a ``conv_stage`` head without
+taps (the norm then the projection, under the same parameter names), with
+no activation or dropout. ``linear_params`` declares the weight and bias of
+every dense projection in the model, here and in the mask head.
 """
 
 from __future__ import annotations
@@ -79,17 +81,27 @@ def init_conv_module(
 def conv_module_forward(
     x, p: ConvModuleParams, rng: np.random.Generator | None = None,
 ) -> ad.Tensor:
-    """x (S, N_in) -> (S, N_out); the skip spans the depthwise convolution,
-    which ``ad.conv_stage`` folds into its centre tap. The dense stand-in
-    (no depthwise taps) is ``layer_norm`` then ``linear``, with no
-    activation or dropout.
+    """x (S, N_in) -> (S, N_out): ``conv_modules_forward`` of one module."""
+    return conv_modules_forward(x, (p,), rng)[0]
 
-    Dropout draws its masks from ``rng`` when one is given (training) and
-    is the identity without one (inference).
+
+def conv_modules_forward(
+    x, modules: tuple[ConvModuleParams, ...],
+    rng: np.random.Generator | None = None,
+) -> tuple[ad.Tensor, ...]:
+    """Every module in ``modules`` on the one input x (S, N_in), as one
+    ``ad.conv_stage`` that normalizes x once; one (S, N_out) output per
+    module, in order. The skip spans the depthwise convolution, which
+    ``ad.conv_stage`` folds into its centre tap. The dense stand-in (no
+    depthwise taps) is the norm and the projection, with no activation or
+    dropout.
+
+    Dropout draws its masks from ``rng`` when one is given (training), one
+    module after another, and is the identity without one (inference).
     """
-    if p.dw_weight is None:
-        return ad.linear(ad.layer_norm(x, p.norm_gain, p.norm_bias),
-                         p.proj_weight, p.proj_bias)
-    y = ad.conv_stage(x, p.norm_gain, p.norm_bias, p.proj_weight,
-                      p.proj_bias, p.dw_weight)
-    return ad.dropout(y, p.dropout_p, rng)
+    outs = ad.conv_stage(x, *(t for p in modules for t in (
+        p.norm_gain, p.norm_bias, p.proj_weight, p.proj_bias, p.dw_weight)))
+    if len(modules) == 1:
+        outs = (outs,)
+    return tuple(y if p.dw_weight is None else ad.dropout(y, p.dropout_p, rng)
+                 for y, p in zip(outs, modules))

@@ -9,6 +9,7 @@ import pytest
 
 from monosep import attention as attn
 from monosep import autodiff as ad
+from monosep import conv_module as cm
 from monosep.config import ModelConfig, preset
 from monosep.errors import ConfigError
 
@@ -108,6 +109,28 @@ class TestLocalAttention:
         # one (chunks, P, P) build for the 2 whole chunks of 8 and one for
         # the ragged last chunk of 4: each chunk's scores are built once
         assert score_builds == [(2, 8, 8), (1, 4, 4)]
+
+    def test_scores_freed_before_backward(self, monkeypatch):
+        # the tape keeps q and k, not the chunks' scores: backward builds
+        # them again, once, from q and k
+        made = []
+        original = attn._chunk_scores
+
+        def spy(q3, k3, gamma):
+            scores = original(q3, k3, gamma)
+            made.append(weakref.ref(scores))
+            return scores
+
+        monkeypatch.setattr(attn, "_chunk_scores", spy)
+        q, k, v, u = (ad.Tensor(rand(s, seed), requires_grad=True)
+                      for s, seed in (((20, 4), 27), ((20, 4), 28),
+                                      ((20, 6), 29), ((20, 6), 30)))
+        with ad.Tape() as tape:
+            out_v, out_u = attn.local_attention(q, k, v, u, chunk_size=8)
+            assert len(made) == 2 and all(ref() is None for ref in made)
+            tape.backward(ad.sum_all(ad.add(out_v, out_u)))
+        assert len(made) == 4
+        assert all(np.abs(t.grad).max() > 0 for t in (q, k, v, u))
 
 
 class TestGlobalAttention:
@@ -235,9 +258,12 @@ class TestJointAttention:
         p, _ = build_attention()
         x = ad.Tensor(rand((20, 6), 44))
         v, u = ad.Tensor(rand((20, 8), 45)), ad.Tensor(rand((20, 8), 46))
-        jv, ju = attn.joint_attention(x, v, u, p)
-        lv, lu = attn.joint_attention(x, v, u, replace(p, mode="local_only"))
-        gv, gu = attn.joint_attention(x, v, u, replace(p, mode="global_only"))
+        shared = cm.conv_module_forward(x, p.shared)
+        jv, ju = attn.joint_attention(shared, v, u, p)
+        lv, lu = attn.joint_attention(shared, v, u,
+                                      replace(p, mode="local_only"))
+        gv, gu = attn.joint_attention(shared, v, u,
+                                      replace(p, mode="global_only"))
         assert np.array_equal(jv.data, lv.data + gv.data)
         assert np.array_equal(ju.data, lu.data + gu.data)
 
@@ -247,8 +273,10 @@ class TestJointAttention:
         p.global_k_offset.data[:] = 0.0
         x = ad.Tensor(rand((12, 6), 47))
         v, u = ad.Tensor(rand((12, 8), 48)), ad.Tensor(rand((12, 8), 49))
-        jv, _ = attn.joint_attention(x, v, u, p)
-        lv, _ = attn.joint_attention(x, v, u, replace(p, mode="local_only"))
+        shared = cm.conv_module_forward(x, p.shared)
+        jv, _ = attn.joint_attention(shared, v, u, p)
+        lv, _ = attn.joint_attention(shared, v, u,
+                                     replace(p, mode="local_only"))
         np.testing.assert_array_equal(jv.data, lv.data)
 
     def test_zeroed_local_keys_reduce_to_global(self):
@@ -257,8 +285,10 @@ class TestJointAttention:
         p.local_k_offset.data[:] = 0.0
         x = ad.Tensor(rand((12, 6), 50))
         v, u = ad.Tensor(rand((12, 8), 51)), ad.Tensor(rand((12, 8), 52))
-        jv, _ = attn.joint_attention(x, v, u, p)
-        gv, _ = attn.joint_attention(x, v, u, replace(p, mode="global_only"))
+        shared = cm.conv_module_forward(x, p.shared)
+        jv, _ = attn.joint_attention(shared, v, u, p)
+        gv, _ = attn.joint_attention(shared, v, u,
+                                     replace(p, mode="global_only"))
         np.testing.assert_array_equal(jv.data, gv.data)
 
     def test_unknown_mode(self):
@@ -270,7 +300,8 @@ class TestJointAttention:
         p, _ = build_attention(dense=True)
         x = ad.Tensor(rand((10, 6), 54))
         v, u = ad.Tensor(rand((10, 8), 55)), ad.Tensor(rand((10, 8), 56))
-        jv, ju = attn.joint_attention(x, v, u, p)
+        jv, ju = attn.joint_attention(cm.conv_module_forward(x, p.shared), v,
+                                      u, p)
         assert jv.shape == (10, 8) and ju.shape == (10, 8)
 
     def test_branch_outputs_freed_before_backward(self, monkeypatch):
@@ -289,7 +320,8 @@ class TestJointAttention:
         store.zero_grad()
         with ad.Tape() as tape:
             jv, ju = attn.joint_attention(
-                ad.Tensor(rand((20, 6), 63)), ad.Tensor(rand((20, 8), 64)),
+                cm.conv_module_forward(ad.Tensor(rand((20, 6), 63)), p.shared),
+                ad.Tensor(rand((20, 8), 64)),
                 ad.Tensor(rand((20, 8), 65)), p)
             assert len(seen) == 2 and all(ref() is None for ref in seen)
             tape.backward(ad.sum_all(ad.mul(ad.add(jv, ju),
@@ -306,7 +338,8 @@ class TestJointAttention:
 
         def f(params):
             jv, ju = attn.joint_attention(
-                ad.Tensor(x_data), ad.Tensor(v_data), ad.Tensor(u_data), p
+                cm.conv_module_forward(ad.Tensor(x_data), p.shared),
+                ad.Tensor(v_data), ad.Tensor(u_data), p
             )
             return ad.sum_all(ad.mul(ad.add(jv, ju), ad.Tensor(probe)))
 

@@ -10,6 +10,7 @@ import pytest
 from monosep import attention as attn
 from monosep import autodiff as ad
 from monosep import conv_module as cm
+from monosep.block import block_forward
 from monosep.config import preset
 from monosep.losses import si_sdr
 from monosep.errors import ConfigError, DimensionError, TapeError
@@ -22,6 +23,12 @@ def backprop_scalar(build):
         loss = build()
         tape.backward(loss)
     return loss
+
+
+def sigmoid_gate(u, v):
+    """sigmoid(u) * v: a function of its inputs alone, as ``recompute``
+    requires."""
+    return ad.mul(ad.sigmoid(u), v)
 
 
 # every public primitive: callable over tensor inputs, and the input shapes
@@ -56,6 +63,8 @@ PRIMITIVES = {
     "conv_stage": (ad.conv_stage, [(9, 4), (4,), (4,), (3, 4), (3,), (3, 3)]),
     "make_op": (lambda a: ad.make_op(2.0 * a.data, [a], lambda g: (2.0 * g,)),
                 [(3,)]),
+    "recompute": (lambda a, b: ad.recompute(sigmoid_gate, a, b),
+                  [(3,), (3,)]),
 }
 
 
@@ -725,13 +734,23 @@ class TestDropout:
             ad.dropout(ad.Tensor(np.ones(3)), p, rng)
 
 
-# the make_op users outside autodiff, and a convolution module's dense
-# ablation stand-in (layer_norm then linear), in the same form as PRIMITIVES
+# the make_op users outside autodiff, a convolution module's dense ablation
+# stand-in (a conv_stage head without taps), and conv_stage with two heads
+# on one input, in the same form as PRIMITIVES; of the two heads, only the
+# second one's output is returned
 FUSED = {
     "conv_module_dense": (
         lambda x, g, b, w, pb: cm.conv_module_forward(
             x, cm.ConvModuleParams(g, b, w, pb, None)),
         [(9, 4), (4,), (4,), (3, 4), (3,)]),
+    "conv_stage_heads": (
+        lambda x, *heads: ad.conv_stage(x, *heads)[1],
+        [(9, 4), (4,), (4,), (3, 4), (3,), (3, 3),
+         (4,), (4,), (2, 4), (2,), (2, 5)]),
+    "conv_stage_dense_head": (
+        lambda x, *heads: ad.conv_stage(x, *heads, None)[1],
+        [(9, 4), (4,), (4,), (3, 4), (3,), (3, 3),
+         (4,), (4,), (2, 4), (2,)]),
     "rope": (attn.rope, [(5, 4)]),
     "local_attention": (
         lambda q, k, v, u: attn.local_attention(q, k, v, u, 3)[0],
@@ -844,6 +863,40 @@ class TestLiveness:
                         and obj.shape[0] == 40)
         assert framed == [(40, 1), (40, 6), (40, 10)]
 
+    def test_conv_stage_heads_keep_one_normalized_input(self):
+        # three heads on one input: one xhat (S, N_in) and one 1/sigma for
+        # all of them, and the pre-activation of each head with taps
+        rng = np.random.default_rng(6)
+        shapes = [(40, 6), (6,), (6,), (10, 6), (10,), (10, 5),
+                  (6,), (6,), (8, 6), (8,), (8, 3),
+                  (6,), (6,), (4, 6), (4,)]
+        x, *heads = [ad.Tensor(rng.normal(size=s), requires_grad=True)
+                     for s in shapes]
+        with ad.Tape():
+            outs = ad.conv_stage(x, *heads, None)
+        assert [o.shape for o in outs] == [(40, 10), (40, 8), (40, 4)]
+        framed = sorted(obj.shape for obj in reachable(outs[0]._backward)
+                        if isinstance(obj, np.ndarray) and obj.ndim == 2
+                        and obj.shape[0] == 40)
+        assert framed == [(40, 1), (40, 6), (40, 8), (40, 10)]
+
+    def test_block_modules_share_one_normalized_input(self):
+        # the gate, value and shared attention modules read the block
+        # input: the tape reaches one normalized copy of it, not three
+        # equal ones
+        block = build_model(preset("tiny"), seed=1).net.blocks[0]
+        x = ad.Tensor(np.random.default_rng(7).normal(size=(20, 16)),
+                      requires_grad=True)
+        xhat = ad._normalize(x.data, ad._NORM_EPS)[0]
+        with ad.Tape() as tape:
+            block_forward(x, block)
+            copies = {id(obj) for node in tape._nodes
+                      for obj in reachable(node.backward)
+                      if isinstance(obj, np.ndarray)
+                      and obj.shape == xhat.shape
+                      and np.array_equal(obj, xhat)}
+        assert len(copies) == 1
+
     def test_mul_inputs_kept_until_backward(self):
         x = ad.Tensor(np.linspace(-1.0, 1.0, 7), requires_grad=True)
         with ad.Tape() as tape:
@@ -858,9 +911,13 @@ class TestLiveness:
 
 
 # (case, input index) pairs whose output takes no gradient from that input:
-# si_sdr is differentiable in the estimate only, and the local_attention
-# case keeps the attended values, which do not read the gates
-NO_GRADIENT = {("si_sdr", 1), ("local_attention", 3)}
+# si_sdr is differentiable in the estimate only, the local_attention case
+# keeps the attended values, which do not read the gates, and the conv_stage
+# cases keep the second head's output, which does not read the first head
+NO_GRADIENT = {("si_sdr", 1), ("local_attention", 3),
+               *((name, i) for name in ("conv_stage_heads",
+                                        "conv_stage_dense_head")
+                 for i in range(1, 6))}
 
 
 class TestBackwardContract:
@@ -944,6 +1001,59 @@ class TestBackwardContract:
         for t in (q, k, gates):
             assert t.grad.shape == t.shape and t.grad.dtype == dtype
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_recompute_matches_recording_bitwise(self, dtype):
+        # one node on the tape instead of fn's; the same gradients, with
+        # an input read twice inside fn
+        def fn(u, v):
+            return ad.mul(ad.silu(ad.mul(u, v)), v)
+
+        rng = np.random.default_rng(5)
+        data = [rng.normal(size=(6, 4)).astype(dtype) for _ in range(3)]
+
+        def grads(wrap):
+            u, v = (ad.Tensor(d, requires_grad=True) for d in data[:2])
+            with ad.Tape() as tape:
+                out = wrap(fn, ad.mul(u, 1.0), ad.mul(v, 1.0))
+                nodes = len(tape)
+                tape.backward(ad.sum_all(ad.mul(out, ad.Tensor(data[2]))))
+            return nodes, out.data.tobytes(), u.grad.tobytes(), v.grad.tobytes()
+
+        direct = grads(lambda f, *inputs: f(*inputs))
+        again = grads(ad.recompute)
+        assert (direct[0], again[0]) == (5, 3)
+        assert again[1:] == direct[1:]
+
+    def test_conv_stage_heads_match_separate_stages_bitwise(self):
+        # x's gradient entries come last head first, as separately recorded
+        # stages' backwards would add them
+        rng = np.random.default_rng(8)
+        shapes = [(6,), (6,), (10, 6), (10,), (10, 5),
+                  (6,), (6,), (4, 6), (4,), None]
+        x_data = rng.normal(size=(30, 6))
+        head_data = [None if s is None else rng.normal(size=s)
+                     for s in shapes]
+        probes = [ad.Tensor(rng.normal(size=(30, n))) for n in (10, 4)]
+
+        def grads(stages):
+            x = ad.Tensor(x_data, requires_grad=True)
+            heads = [None if d is None else ad.Tensor(d, requires_grad=True)
+                     for d in head_data]
+            with ad.Tape() as tape:
+                outs = stages(ad.mul(x, 1.0), heads)
+                tape.backward(ad.add(*(ad.sum_all(ad.mul(o, p))
+                                       for o, p in zip(outs, probes))))
+            return [x.grad.tobytes()] + [t.grad.tobytes() for t in heads
+                                         if t is not None]
+
+        def separate(x, heads):
+            return [ad.conv_stage(x, *heads[:5]),
+                    cm.conv_module_forward(
+                        x, cm.ConvModuleParams(*heads[5:9], None))]
+
+        assert grads(lambda x, heads: ad.conv_stage(x, *heads)) == \
+            grads(separate)
+
     def test_wrong_gradient_count_raises(self):
         x = ad.Tensor(np.ones(3), requires_grad=True)
         with ad.Tape() as tape:
@@ -1020,6 +1130,43 @@ class TestGradientCheck:
             out = ad.conv_stage(p["x"], p["g"], p["b"], p["w"], p["pb"],
                                 p["t"])
             return ad.sum_all(ad.mul(out, probe))
+
+        assert ad.gradient_check(f, store, h=1e-5) < 1e-6
+
+    def test_conv_stage_heads(self):
+        rng = np.random.default_rng(25)
+        shapes = {"x": (7, 4), "g": (4,), "b": (4,), "w": (5, 4), "pb": (5,),
+                  "t": (5, 3), "g2": (4,), "b2": (4,), "w2": (3, 4),
+                  "pb2": (3,)}
+        store = ad.ParamStore()
+        for name, shape in shapes.items():
+            store.add(name, rng.normal(size=shape))
+        probes = [ad.Tensor(rng.normal(size=(7, n))) for n in (5, 3)]
+
+        def f(p):
+            outs = ad.conv_stage(p["x"], p["g"], p["b"], p["w"], p["pb"],
+                                 p["t"], p["g2"], p["b2"], p["w2"], p["pb2"],
+                                 None)
+            return ad.add(*(ad.sum_all(ad.mul(o, probe))
+                            for o, probe in zip(outs, probes)))
+
+        assert ad.gradient_check(f, store, h=1e-5) < 1e-6
+
+    def test_recompute(self):
+        # inputs and probe in [0.5, 1.5]: no gradient entry near zero,
+        # where the relative error would measure finite-difference noise
+        rng = np.random.default_rng(26)
+        store = ad.ParamStore()
+        store.add("u", rng.uniform(0.5, 1.5, size=(4, 5)))
+        store.add("v", rng.uniform(0.5, 1.5, size=(4, 5)))
+        probe = ad.Tensor(rng.uniform(0.5, 1.5, size=(4, 5)))
+
+        def gate(u, v):
+            return ad.mul(ad.sigmoid(ad.mul(u, v)), ad.mul(v, v))
+
+        def f(p):
+            return ad.sum_all(ad.mul(ad.recompute(gate, p["u"], p["v"]),
+                                     probe))
 
         assert ad.gradient_check(f, store, h=1e-5) < 1e-6
 

@@ -1,6 +1,7 @@
 """Tests for the gated attention block: residual, gating algebra, ablations."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -108,6 +109,33 @@ class TestBlockGradient:
                                      ad.Tensor(probe)))
 
         assert ad.gradient_check(f, store, h=1e-5) < 1e-4
+
+    def test_gating_products_freed_before_backward(self, monkeypatch):
+        # the tape keeps the four sequences the gating reads, not its
+        # products or its activation: backward makes them again
+        p, _ = build(seed=20, chunk=4)
+        x = ad.Tensor(rand((10, 6), 21), requires_grad=True)
+        made = []
+
+        def spy(fn):
+            def run(*args):
+                out = fn(*args)
+                if out.shape == (10, 12):  # (frames, 2N): the gating's
+                    made.append(weakref.ref(out.data))
+                return out
+            return run
+
+        monkeypatch.setattr(ad, "mul", spy(ad.mul))
+        monkeypatch.setattr(ad, "activation", spy(ad.activation))
+        with ad.Tape() as tape:
+            out = block_forward(x, p)
+            forward = list(made)
+            # three products and the activation
+            assert len(forward) == 4
+            assert all(ref() is None for ref in forward)
+            tape.backward(ad.sum_all(out))
+        assert len(made) == 8
+        assert np.abs(p.to_gate.proj_weight.grad).max() > 0
 
     def test_input_gradient_flows(self):
         p, _ = build(seed=18)

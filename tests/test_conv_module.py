@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from monosep import attention as attn
 from monosep import autodiff as ad
 from monosep import conv_module as cm
+from monosep import masking
 from monosep.block import block_forward
 from monosep.config import preset
 from monosep.errors import ConfigError
@@ -159,31 +161,62 @@ def composed_conv_module(x, p, rng=None):
     return ad.dropout(y, p.dropout_p, rng)
 
 
+def reference_joint_attention(x, values, gates, p, rng=None):
+    """Joint attention that runs its own shared module on the block input."""
+    q_loc, k_loc, q_glob, k_glob = attn.derive_qk(
+        composed_conv_module(x, p.shared, rng), p)
+    if p.mode == "local_only":
+        return attn.local_attention(q_loc, k_loc, values, gates, p.chunk_size)
+    if p.mode == "global_only":
+        return attn.global_attention(q_glob, k_glob, values, gates)
+    lv, lg = attn.local_attention(q_loc, k_loc, values, gates, p.chunk_size)
+    gv, gg = attn.global_attention(q_glob, k_glob, values, gates)
+    return ad.add(lv, gv), ad.add(lg, gg)
+
+
+def reference_block(x, p, rng=None):
+    """The block as separate primitives: each of the gate, value and shared
+    modules normalizes its own copy of the input, and the gating products
+    and activation are recorded, each keeping its own arrays for backward.
+    Dropout masks are drawn in the same order as the block draws them."""
+    x = ad.as_tensor(x)
+    gate_seq = composed_conv_module(x, p.to_gate, rng)
+    value_seq = composed_conv_module(x, p.to_value, rng)
+    value_attn, gate_attn = reference_joint_attention(x, value_seq, gate_seq,
+                                                      p.attn, rng)
+    gated = ad.mul(gate_attn, value_seq)
+    if not p.single_gate:
+        gated = ad.mul(
+            ad.activation(p.gate_phi, ad.mul(gate_seq, value_attn)), gated
+        )
+    return ad.add(x, composed_conv_module(gated, p.out_proj, rng))
+
+
 class TestFusedStage:
-    """``conv_stage`` against the same module composed from the standalone
-    primitives."""
+    """The block, with its shared-normalization ``conv_stage``, recomputed
+    gating and recomputed chunk scores, against ``reference_block``."""
 
     @staticmethod
     def compose(monkeypatch):
-        """Run every convolution module as ``composed_conv_module`` from now
-        on; returns the list of modules it has run, so that a test sees
-        whether the call sites reached it."""
+        """Run every block as ``reference_block`` from now on; returns the
+        list of blocks it has run, so that a test sees whether the model
+        reached it."""
         ran = []
 
         def composed(x, p, rng=None):
             ran.append(p)
-            return composed_conv_module(x, p, rng)
+            return reference_block(x, p, rng)
 
-        monkeypatch.setattr(cm, "conv_module_forward", composed)
+        monkeypatch.setattr(masking, "block_forward", composed)
         return ran
 
     @staticmethod
-    def step(cfg, dtype):
+    def step(cfg, dtype, samples=1200):
         """Loss and every parameter gradient of one taped step, as bytes."""
         model = build_model(cfg, seed=3, dtype=dtype)
         data = np.random.default_rng(4)
-        mixture = data.normal(size=1200).astype(dtype)
-        sources = [data.normal(size=1200).astype(dtype) for _ in range(2)]
+        mixture = data.normal(size=samples).astype(dtype)
+        sources = [data.normal(size=samples).astype(dtype) for _ in range(2)]
         model.store.zero_grad()
         with ad.Tape() as tape:
             loss, _ = pit_loss(separate(model, mixture,
@@ -202,28 +235,43 @@ class TestFusedStage:
         {"dense_uv": True, "dense_qk": True},
         {"single_gate": True},
         {"attention_mode": "local_only"},
-    ], ids=["dropout", "dense_uv_qk", "single_gate", "local_only"])
+        {"attention_mode": "global_only"},
+        {"dense_uv": True},
+        {"dense_qk": True},
+        *({"gate_phi": phi} for phi in ("relu", "relu_squared", "silu",
+                                        "swish", "gelu", "bilinear")),
+    ], ids=["dropout", "dense_uv_qk", "single_gate", "local_only",
+            "global_only", "dense_uv", "dense_qk", "relu", "relu_squared",
+            "silu", "swish", "gelu", "bilinear"])
     def test_loss_and_gradients_bitwise(self, monkeypatch, overrides, dtype):
+        # the default tiny preset: joint attention, sigmoid gate, dropout on
         cfg = preset("tiny", **overrides)
         fused = self.step(cfg, dtype)
         ran = self.compose(monkeypatch)
         assert self.step(cfg, dtype) == fused
-        # gate, value, shared attention and output module of each block
-        assert len(ran) == 4 * cfg.n_blocks
+        assert len(ran) == cfg.n_blocks
 
-    def test_block_keeps_at_most_three_quarters(self, monkeypatch):
+    def test_s_width_bitwise(self, monkeypatch):
+        # the train_wide shape: S width, 2 blocks, 0.5 s of audio, float32
+        cfg = preset("S", n_blocks=2, dropout_p=0.1)
+        fused = self.step(cfg, np.float32, samples=4000)
+        ran = self.compose(monkeypatch)
+        assert self.step(cfg, np.float32, samples=4000) == fused
+        assert len(ran) == 2
+
+    def test_block_keeps_at_most_three_quarters(self):
         # one S-width block's taped forward on 1000 frames (0.5 s of audio):
         # the memory its tape holds, fused against composed
         bp = build_model(preset("S", n_blocks=1), seed=0).net.blocks[0]
         x = ad.Tensor(np.random.default_rng(6).normal(size=(1000, 256))
                       .astype(np.float32), requires_grad=True)
 
-        def held():
+        def held(block):
             gc.collect()
             tracemalloc.start()
             try:
                 with ad.Tape():
-                    out = block_forward(x, bp, np.random.default_rng(7))
+                    out = block(x, bp, np.random.default_rng(7))
                     gc.collect()
                     size = tracemalloc.get_traced_memory()[0]
                 del out
@@ -231,7 +279,4 @@ class TestFusedStage:
                 tracemalloc.stop()
             return size
 
-        fused = held()
-        ran = self.compose(monkeypatch)
-        assert fused <= 0.75 * held()
-        assert len(ran) == 4
+        assert held(block_forward) <= 0.75 * held(reference_block)
